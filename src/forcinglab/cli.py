@@ -286,6 +286,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: input too large to evaluate ({type(exc).__name__})", file=sys.stderr)
+        return BAD_INPUT
 
 
 if __name__ == "__main__":

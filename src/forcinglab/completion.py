@@ -64,11 +64,7 @@ class RegularOpenAlgebra:
 
     def perp(self, u: int) -> int:
         """Conditions incompatible with every member of u."""
-        out = 0
-        for i, row in enumerate(self.base.compat_masks()):
-            if not row & u:
-                out |= 1 << i
-        return out
+        return self.base.full_mask & ~self.base.compat_kernel().union(u)
 
     def ro(self, u: int) -> int:
         return self.perp(self.perp(u))

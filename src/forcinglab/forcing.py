@@ -34,7 +34,7 @@ from .completion import RegularOpenAlgebra
 from .errors import ForcingLabError, InputError
 from .formulas import And, Check, Eq, ExistsIn, ForallIn, Formula, Imp, Mem, Not, Or, Term
 from .names import HF, Name, check_name, hereditary_names, validate_name
-from .poset import Poset
+from .poset import Poset, RowUnion
 
 _CONTEXTS: "WeakKeyDictionary[Poset, ForcingContext]" = WeakKeyDictionary()
 
@@ -50,8 +50,11 @@ def context_for(P: Poset) -> "ForcingContext":
 class ForcingContext:
     """Per-poset memo tables for atomic sets, formula sets, and the oracle.
 
-    The tables are the only mutable state; insertions are idempotent, so a
-    context may be shared across threads without coordination.
+    A context is not thread-safe: formula memo keys intern environments as
+    tokens handed out by a check-then-append on shared tables, so two threads
+    evaluating different environments can be given the same token and read
+    each other's entries.  Give each thread its own poset (and so its own
+    context), or serialize the calls.
     """
 
     def __init__(self, P: Poset):
@@ -75,6 +78,7 @@ class ForcingContext:
                 cond_filters[low.bit_length() - 1] |= 1 << fidx
                 m ^= low
         self.cond_filters = cond_filters
+        self._filter_kernel: Optional[RowUnion] = None
         self._mem: dict[tuple[Name, Name], int] = {}
         self._eq: dict[tuple[Name, Name], int] = {}
         self._forces: dict[tuple, int] = {}
@@ -96,11 +100,7 @@ class ForcingContext:
             return self.full
         if S == self.full:
             return 0
-        out = 0
-        for i, d in enumerate(self.down):
-            if not d & S:
-                out |= 1 << i
-        return out
+        return self.full & ~self.poset.up_kernel().union(S)
 
     def dense_below(self, S: int) -> int:
         """Conditions below which S is dense."""
@@ -362,11 +362,9 @@ class ForcingContext:
         """Conditions p such that f holds under every minimal filter through p."""
         M = self.oracle_mask(f, env)
         missing = ~M & self.filter_full
-        out = 0
-        for i in range(self.n):
-            if not self.cond_filters[i] & missing:
-                out |= 1 << i
-        return out
+        if self._filter_kernel is None:
+            self._filter_kernel = RowUnion(self.filter_masks)
+        return self.full & ~self._filter_kernel.union(missing)
 
 
 # -- public operations ----------------------------------------------------

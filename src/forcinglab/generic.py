@@ -38,6 +38,11 @@ def _least(P: Poset, mask: int) -> str:
     return P.ids[(mask & -mask).bit_length() - 1]
 
 
+def _allinc(P: Poset, fmask: int) -> int:
+    """Conditions incompatible with every member of fmask."""
+    return P.full_mask & ~P.compat_kernel().union(fmask)
+
+
 def build_generic(P: Poset, req: GenericRequest) -> Filter:
     """Descend a chain serving each family in order, then close upward.
 
@@ -48,7 +53,6 @@ def build_generic(P: Poset, req: GenericRequest) -> Filter:
     """
     cur = req.start
     P.check_condition(cur)
-    compat = P.compat_masks()
     for fam in req.families:
         members = _members(fam)
         if not members:
@@ -59,10 +63,7 @@ def build_generic(P: Poset, req: GenericRequest) -> Filter:
         if inside:
             cur = _least(P, inside)
             continue
-        allinc = 0
-        for i in range(len(P)):
-            if not compat[i] & fmask:
-                allinc |= 1 << i
+        allinc = _allinc(P, fmask)
         if below & allinc:
             cur = _least(P, below & allinc)
             continue
@@ -75,21 +76,9 @@ def is_generic_for(
 ) -> tuple[bool, Optional[int]]:
     """Literal genericity check; returns (ok, index of first failing family)."""
     gmask = G.mask()
-    compat = P.compat_masks()
     for k, fam in enumerate(families):
         fmask = P.mask_of(_members(fam))
-        hit = gmask & fmask
-        if hit:
-            continue
-        ok = False
-        m = gmask
-        while m:
-            low = m & -m
-            if not compat[low.bit_length() - 1] & fmask:
-                ok = True
-                break
-            m ^= low
-        if not ok:
+        if not gmask & fmask and not gmask & _allinc(P, fmask):
             return False, k
     return True, None
 

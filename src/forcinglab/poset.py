@@ -8,9 +8,24 @@ identifier strings; internally every set is mirrored as a bitmask over the
 lexicographically sorted identifier list, which keeps the quantifier-heavy
 predicates (density, exhaustiveness, compatibility) cheap.
 
-Everything constructed here is immutable after ``__init__``; the lazily built
-caches are private and idempotent, so values can be shared freely between
-threads.
+The hot set operations of the forcing and completion layers all compute a
+union of rows of a fixed table indexed by the bits of a mask: the upward
+closure of S is the union of the ``up`` rows over S, and the conditions
+compatible with some member of S are the union of the ``compat`` rows.
+``RowUnion`` answers such unions with the Method of Four Russians
+(Arlazarov, Dinic, Kronrod and Faradzev, 1970): the rows are cut into chunks
+of four consecutive indices, and for each chunk a 16-entry table holds the
+union of every subset of its four rows (entry m is the union of the rows
+whose bits are set in m; single-row entries are the row objects themselves).
+A query walks the mask byte by byte and ORs the low-nibble entry of one chunk
+with the high-nibble entry of the next, so it costs one step per nonzero byte
+instead of one per condition.  ``Poset`` builds its ``up`` and ``compat``
+kernels on first use.
+
+``Poset`` values are not modified after ``__init__`` apart from their lazily
+built caches, which are private and always rebuilt to the same value, so a
+poset may be read from several threads.  The forcing context evaluated over
+it may not: see ``forcing.ForcingContext``.
 """
 
 from __future__ import annotations
@@ -42,6 +57,43 @@ def condition_cap() -> int:
     return value
 
 
+class RowUnion:
+    """Unions of the rows of a fixed table of bitmasks.
+
+    ``union(S)`` is the OR of ``rows[i]`` over the set bits i of S; bits of S
+    beyond the last row are ignored.  Table c holds the unions of all subsets
+    of rows 4c..4c+3, so byte k of S selects one entry of table 2k (``_lo[k]``,
+    by its low nibble) and one of table 2k+1 (``_hi[k]``, by its high nibble).
+    The chunk width is fixed: 8-bit tables would answer with half the ORs but
+    take eight times the memory.
+    """
+
+    __slots__ = ("_lo", "_hi")
+
+    def __init__(self, rows: Iterable[int]):
+        rows = list(rows)
+        rows.extend([0] * (-len(rows) % 8))
+        tables = []
+        for base in range(0, len(rows), 4):
+            table = [0] * 16
+            for m in range(1, 16):
+                low = m & -m
+                if m == low:
+                    table[m] = rows[base + low.bit_length() - 1]
+                else:
+                    table[m] = table[m ^ low] | table[low]
+            tables.append(tuple(table))
+        self._lo = tables[0::2]
+        self._hi = tables[1::2]
+
+    def union(self, S: int) -> int:
+        out = 0
+        for b, lo, hi in zip(S.to_bytes((S.bit_length() + 7) >> 3, "little"), self._lo, self._hi):
+            if b:
+                out |= lo[b & 15] | hi[b >> 4]
+        return out
+
+
 class Poset:
     """A finite reflexive-transitive order with a greatest element.
 
@@ -59,6 +111,8 @@ class Poset:
         "_up",
         "_full",
         "_compat",
+        "_up_kernel",
+        "_compat_kernel",
         "_minimal_mask",
         "_minimal_filters",
         "__weakref__",
@@ -116,6 +170,8 @@ class Poset:
                 di ^= low
         self._up = up
         self._compat: Optional[list[int]] = None
+        self._up_kernel: Optional[RowUnion] = None
+        self._compat_kernel: Optional[RowUnion] = None
         self._minimal_mask: Optional[int] = None
         self._minimal_filters: Optional[tuple[tuple[str, int], ...]] = None
 
@@ -171,24 +227,27 @@ class Poset:
         return bool(self._down[self.check_condition(q)] >> pi & 1)
 
     def compat_masks(self) -> list[int]:
-        """compat_masks()[i] = bitmask of conditions compatible with ids[i]."""
+        """compat_masks()[i] = bitmask of conditions compatible with ids[i].
+
+        Those are the conditions above some r <= ids[i], so row i is the
+        upward closure of the down-set of i.
+        """
         if self._compat is None:
-            down = self._down
-            n = len(self.ids)
-            compat = [0] * n
-            for i in range(n):
-                di = down[i]
-                row = 0
-                for j in range(i, n):
-                    if di & down[j]:
-                        row |= 1 << j
-                compat[i] = compat[i] | row
-                # mirror the symmetric half
-                for j in range(i + 1, n):
-                    if row >> j & 1:
-                        compat[j] |= 1 << i
-            self._compat = compat
+            up = self.up_kernel()
+            self._compat = [up.union(d) for d in self._down]
         return self._compat
+
+    def up_kernel(self) -> RowUnion:
+        """``union(S)`` is the upward closure of S."""
+        if self._up_kernel is None:
+            self._up_kernel = RowUnion(self._up)
+        return self._up_kernel
+
+    def compat_kernel(self) -> RowUnion:
+        """``union(S)`` is the set of conditions compatible with some member of S."""
+        if self._compat_kernel is None:
+            self._compat_kernel = RowUnion(self.compat_masks())
+        return self._compat_kernel
 
     def compatible(self, p: str, q: str) -> bool:
         """True iff some r satisfies r <= p and r <= q."""

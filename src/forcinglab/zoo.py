@@ -424,7 +424,6 @@ def marker_dense_family(P: Poset, cid: str, i: int) -> ConditionFamily:
     target = m + i
     if not marker_in_range(P, cid, i):
         raise InputError(f"offset {i} is out of range for {cid!r}")
-    n = len(P)
     down = P.down_masks()
     compat = P.compat_masks()
     pi = P.check_condition(cid)
@@ -438,14 +437,10 @@ def marker_dense_family(P: Poset, cid: str, i: int) -> ConditionFamily:
         if qstart <= m <= qend and qstart <= target <= qend:
             if qbits[target - qstart] != qbits[m - qstart]:
                 disagree |= 1 << j
-    members = 0
-    below = down[pi]
-    for j in range(n):
-        if not compat[j] & (1 << pi):
-            members |= 1 << j
-        elif below >> j & 1:
-            if disagree >> j & 1 or not down[j] & disagree:
-                members |= 1 << j
+    # incompatible with the word, or below it and either disagreeing or with
+    # no extension that disagrees
+    unreachable = P.full_mask & ~P.up_kernel().union(disagree)
+    members = P.full_mask & ~compat[pi] | down[pi] & (disagree | unreachable)
     return make_family(P, P.ids_of(members), "dense")
 
 

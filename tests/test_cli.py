@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from forcinglab import cli
 from forcinglab.cli import main
 
 DATA = Path(__file__).parent / "data" / "corpus"
@@ -137,3 +138,16 @@ def test_bundled_corpus_runs(capsys):
     for line in (DATA / "demo.formulas").read_text().splitlines():
         code, _ = run(capsys, "oracle", "--poset", str(poset), "--names", str(names), "--formula", line)
         assert code == 0
+
+
+@pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+def test_resource_errors_exit_cleanly(monkeypatch, capsys, exc):
+    def boom(args):
+        raise exc("too deep")
+
+    monkeypatch.setattr(cli, "_cmd_poset_check", boom)
+    code = main(["poset", "check", str(DATA / "wheel.poset")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
