@@ -8,7 +8,9 @@ and timestamp-free, so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -21,7 +23,7 @@ from .forcing import FORCES, context_for, decides, forces_set, oracle_set, truth
 from .formulas import Formula, parse_formula, print_formula, unbound_symbols
 from .generic import GenericRequest, build_generic
 from .names import Name, generic_name
-from .poset import ConditionFamily, Poset, is_separative, separative_quotient
+from .poset import ConditionFamily, Poset, condition_cap, is_separative, separative_quotient
 
 OK, FALSE, BAD_INPUT = 0, 1, 2
 
@@ -47,14 +49,33 @@ class Workspace:
         return self._algebra
 
 
+# Workspaces parsed by earlier requests in this process, least recently used
+# first.  The key is the text of every file a workspace was read from plus the
+# condition cap, and the files are read on every request, so an edited file or
+# a lowered cap never gets a stale workspace.
+_WORKSPACE_CACHE_SIZE = 32
+_WORKSPACES: "OrderedDict[tuple, Workspace]" = OrderedDict()
+
+
 def _load_workspace(poset_path: str, names_path: Optional[str]) -> Workspace:
-    P = formats.parse_poset(Path(poset_path).read_text())
-    ws = Workspace(P)
+    poset_text = Path(poset_path).read_text()
     sidecar = Path(poset_path + ".families")
-    if sidecar.exists():
-        ws.dense_families = formats.parse_families(sidecar.read_text(), P)
-    if names_path:
-        ws.names.update(formats.parse_names(Path(names_path).read_text(), P))
+    families_text = sidecar.read_text() if sidecar.exists() else None
+    names_text = Path(names_path).read_text() if names_path else None
+    key = (poset_text, families_text, names_text, condition_cap())
+    ws = _WORKSPACES.get(key)
+    if ws is not None:
+        _WORKSPACES.move_to_end(key)
+        return ws
+    P = formats.parse_poset(poset_text)
+    ws = Workspace(P)
+    if families_text is not None:
+        ws.dense_families = formats.parse_families(families_text, P)
+    if names_text is not None:
+        ws.names.update(formats.parse_names(names_text, P))
+    _WORKSPACES[key] = ws
+    if len(_WORKSPACES) > _WORKSPACE_CACHE_SIZE:
+        _WORKSPACES.popitem(last=False)
     return ws
 
 
@@ -204,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     check_sub = p_check.add_subparsers(dest="poset_command", required=True)
     p_pc = check_sub.add_parser("check", help="validate a poset file and report")
     p_pc.add_argument("file")
-    p_pc.set_defaults(func=_cmd_poset_check)
+    p_pc.set_defaults(handler="_cmd_poset_check")
 
     p_mk = sub.add_parser("mk", help="construct a poset and write it out")
     mk_sub = p_mk.add_subparsers(dest="ctor", required=True)
@@ -225,36 +246,36 @@ def build_parser() -> argparse.ArgumentParser:
     mk_marker.add_argument("--half-width", type=int, required=True)
     for mk_p in (mk_cohen, mk_random, mk_amoeba, mk_collapse, mk_mathias, mk_marker):
         mk_p.add_argument("--out", required=True)
-        mk_p.set_defaults(func=_cmd_mk)
+        mk_p.set_defaults(handler="_cmd_mk")
 
     p_force = sub.add_parser("force", help="does a condition force a formula?")
     p_force.add_argument("--poset", required=True)
     p_force.add_argument("--names")
     p_force.add_argument("--cond", required=True)
     p_force.add_argument("formula")
-    p_force.set_defaults(func=_cmd_force)
+    p_force.set_defaults(handler="_cmd_force")
 
     p_truth = sub.add_parser("truth", help="truth value in the completion")
     p_truth.add_argument("--poset", required=True)
     p_truth.add_argument("--names")
     p_truth.add_argument("formula")
-    p_truth.set_defaults(func=_cmd_truth)
+    p_truth.set_defaults(handler="_cmd_truth")
 
     p_gen = sub.add_parser("generic", help="build a generic filter")
     p_gen.add_argument("--poset", required=True)
     p_gen.add_argument("--from", dest="start", required=True)
     p_gen.add_argument("--families", default="")
-    p_gen.set_defaults(func=_cmd_generic)
+    p_gen.set_defaults(handler="_cmd_generic")
 
     p_ultra = sub.add_parser("ultra", help="enumerate ultrafilters")
     p_ultra.add_argument("--poset", required=True)
-    p_ultra.set_defaults(func=_cmd_ultra)
+    p_ultra.set_defaults(handler="_cmd_ultra")
 
     p_oracle = sub.add_parser("oracle", help="compare forcing with the semantic oracle")
     p_oracle.add_argument("--poset", required=True)
     p_oracle.add_argument("--names")
     p_oracle.add_argument("--formula", required=True)
-    p_oracle.set_defaults(func=_cmd_oracle)
+    p_oracle.set_defaults(handler="_cmd_oracle")
 
     p_ramsey = sub.add_parser("ramsey", help="combinatorial searches")
     ramsey_sub = p_ramsey.add_subparsers(dest="ramsey_command", required=True)
@@ -262,24 +283,31 @@ def build_parser() -> argparse.ArgumentParser:
     r_gnw.add_argument("--family", required=True)
     r_gnw.add_argument("--h", type=int, required=True)
     r_gnw.add_argument("--m", type=int, required=True)
-    r_gnw.set_defaults(func=_cmd_ramsey_gnw)
+    r_gnw.set_defaults(handler="_cmd_ramsey_gnw")
     r_hl = ramsey_sub.add_parser("hl")
     r_hl.add_argument("--coloring", required=True)
-    r_hl.set_defaults(func=_cmd_ramsey_hl)
+    r_hl.set_defaults(handler="_cmd_ramsey_hl")
     r_mathias = ramsey_sub.add_parser("mathias")
     r_mathias.add_argument("--universe", type=int, required=True)
     r_mathias.add_argument("--clopen", required=True)
     r_mathias.add_argument("--cond")
-    r_mathias.set_defaults(func=_cmd_ramsey_mathias)
+    r_mathias.set_defaults(handler="_cmd_ramsey_mathias")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  It names each handler rather than
+    holding it, so ``main`` calls whatever ``_cmd_*`` function is bound now."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return globals()[args.handler](args)
     except ForcingLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT

@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import sys
 from typing import Iterable, Mapping, Optional
-from weakref import WeakKeyDictionary
 
 from .completion import RegularOpenAlgebra
 from .errors import ForcingLabError, InputError
@@ -36,15 +35,12 @@ from .formulas import And, Check, Eq, ExistsIn, ForallIn, Formula, Imp, Mem, Not
 from .names import HF, Name, check_name, hereditary_names, validate_name
 from .poset import Poset, RowUnion
 
-_CONTEXTS: "WeakKeyDictionary[Poset, ForcingContext]" = WeakKeyDictionary()
-
-
 def context_for(P: Poset) -> "ForcingContext":
-    ctx = _CONTEXTS.get(P)
-    if ctx is None:
-        ctx = ForcingContext(P)
-        _CONTEXTS[P] = ctx
-    return ctx
+    """The forcing context of P, built on first use and kept on P itself, so
+    that it and its memo tables are freed together with the poset."""
+    if P._context is None:
+        P._context = ForcingContext(P)
+    return P._context
 
 
 class ForcingContext:

@@ -57,7 +57,7 @@ def build_generic(P: Poset, req: GenericRequest) -> Filter:
         members = _members(fam)
         if not members:
             raise InputError("generic requests need nonempty families")
-        fmask = P.mask_of(members)
+        fmask = P.family_mask(members)
         below = P.down_mask(cur)
         inside = below & fmask
         if inside:
@@ -77,7 +77,7 @@ def is_generic_for(
     """Literal genericity check; returns (ok, index of first failing family)."""
     gmask = G.mask()
     for k, fam in enumerate(families):
-        fmask = P.mask_of(_members(fam))
+        fmask = P.family_mask(_members(fam))
         if not gmask & fmask and not gmask & _allinc(P, fmask):
             return False, k
     return True, None

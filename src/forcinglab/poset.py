@@ -25,7 +25,9 @@ kernels on first use.
 ``Poset`` values are not modified after ``__init__`` apart from their lazily
 built caches, which are private and always rebuilt to the same value, so a
 poset may be read from several threads.  The forcing context evaluated over
-it may not: see ``forcing.ForcingContext``.
+it may not: see ``forcing.ForcingContext``.  That context is kept in a slot of
+its poset (``forcing.context_for`` fills it), so it lives exactly as long as
+the poset does.
 """
 
 from __future__ import annotations
@@ -115,6 +117,8 @@ class Poset:
         "_compat_kernel",
         "_minimal_mask",
         "_minimal_filters",
+        "_family_masks",
+        "_context",
         "__weakref__",
     )
 
@@ -174,6 +178,8 @@ class Poset:
         self._compat_kernel: Optional[RowUnion] = None
         self._minimal_mask: Optional[int] = None
         self._minimal_filters: Optional[tuple[tuple[str, int], ...]] = None
+        self._family_masks: dict[frozenset[str], int] = {}
+        self._context = None
 
     # -- identifier/bitmask plumbing -------------------------------------
 
@@ -198,6 +204,13 @@ class Poset:
         mask = 0
         for p in conditions:
             mask |= 1 << self.check_condition(p)
+        return mask
+
+    def family_mask(self, members: frozenset[str]) -> int:
+        """``mask_of(members)``, computed once per distinct member set."""
+        mask = self._family_masks.get(members)
+        if mask is None:
+            mask = self._family_masks[members] = self.mask_of(members)
         return mask
 
     def ids_of(self, mask: int) -> tuple[str, ...]:

@@ -1,8 +1,10 @@
+import gc
+import weakref
 from pathlib import Path
 
 import pytest
 
-from forcinglab import cli
+from forcinglab import cli, formats
 from forcinglab.cli import main
 
 DATA = Path(__file__).parent / "data" / "corpus"
@@ -151,3 +153,85 @@ def test_resource_errors_exit_cleanly(monkeypatch, capsys, exc):
     assert code == 2
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def test_parser_is_reused_and_handlers_looked_up_per_call(monkeypatch, capsys):
+    wheel = str(DATA / "wheel.poset")
+    assert main(["poset", "check", wheel]) == 0
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_cmd_poset_check", lambda args: 7)
+    assert main(["poset", "check", wheel]) == 7
+    with pytest.raises(SystemExit) as exc:
+        main(["no-such-command"])
+    assert exc.value.code == 2
+
+
+# two incompatible conditions a and b below the top t, and a2 below a
+STALE_POSET = "poset stale\ntop t\nelem a\nelem a2\nelem b\nle a2 a\nle a t\nle b t\n"
+TAUTOLOGY = "(mem (check #{}) (check #{#{}}))"
+
+
+def test_edited_poset_file_is_not_served_stale(tmp_path, capsys):
+    poset = tmp_path / "p.poset"
+    poset.write_text(STALE_POSET)
+    assert run(capsys, "oracle", "--poset", str(poset), "--formula", TAUTOLOGY) == (0, "agree a a2 b t\n")
+    assert run(capsys, "force", "--poset", str(poset), "--cond", "c", TAUTOLOGY)[0] == 2
+    poset.write_text(STALE_POSET + "elem c\nle c b\n")
+    assert run(capsys, "oracle", "--poset", str(poset), "--formula", TAUTOLOGY) == (0, "agree a a2 b c t\n")
+    assert run(capsys, "force", "--poset", str(poset), "--cond", "c", TAUTOLOGY) == (0, "forces\n")
+
+
+def test_edited_families_sidecar_is_not_served_stale(tmp_path, capsys):
+    poset = tmp_path / "p.poset"
+    poset.write_text(STALE_POSET)
+    sidecar = tmp_path / "p.poset.families"
+    sidecar.write_text("dense d a a2 b\n")
+    assert run(capsys, "generic", "--poset", str(poset), "--from", "t", "--families", "d") == (0, "a t\n")
+    sidecar.write_text("dense d a2 b\n")
+    assert run(capsys, "generic", "--poset", str(poset), "--from", "t", "--families", "d") == (0, "a a2 t\n")
+    sidecar.unlink()
+    assert run(capsys, "generic", "--poset", str(poset), "--from", "t", "--families", "d")[0] == 2
+
+
+def test_edited_names_file_is_not_served_stale(tmp_path, capsys):
+    poset = tmp_path / "p.poset"
+    poset.write_text(STALE_POSET)
+    names = tmp_path / "n.names"
+    formula = "(mem x (check #{#{}}))"
+    names.write_text("(def x (check #{}))\n")
+    assert run(capsys, "force", "--poset", str(poset), "--names", str(names), "--cond", "t", formula) == (0, "forces\n")
+    names.write_text("(def x (check #{#{}}))\n")
+    assert run(capsys, "force", "--poset", str(poset), "--names", str(names), "--cond", "t", formula) == (
+        1,
+        "forces-negation\n",
+    )
+
+
+def test_lowered_cap_rejects_a_cached_file(tmp_path, capsys, monkeypatch):
+    poset = tmp_path / "p.poset"
+    poset.write_text(STALE_POSET)
+    assert run(capsys, "oracle", "--poset", str(poset), "--formula", TAUTOLOGY)[0] == 0
+    monkeypatch.setenv("FORCINGLAB_CAP", "3")
+    assert run(capsys, "oracle", "--poset", str(poset), "--formula", TAUTOLOGY)[0] == 2
+    monkeypatch.delenv("FORCINGLAB_CAP")
+    assert run(capsys, "oracle", "--poset", str(poset), "--formula", TAUTOLOGY)[0] == 0
+
+
+def test_workspace_cache_keeps_at_most_its_bound_of_posets(tmp_path, capsys, monkeypatch):
+    bound = cli._WORKSPACE_CACHE_SIZE
+    parsed = []
+
+    def recording_parse_poset(text):
+        P = real_parse_poset(text)
+        parsed.append(weakref.ref(P))
+        return P
+
+    real_parse_poset = formats.parse_poset
+    monkeypatch.setattr(formats, "parse_poset", recording_parse_poset)
+    for k in range(bound + 5):
+        poset = tmp_path / f"p{k}.poset"
+        poset.write_text(STALE_POSET.replace("poset stale", f"poset bound{k}"))
+        assert run(capsys, "oracle", "--poset", str(poset), "--formula", "(ingen (check #{}))")[0] == 0
+    gc.collect()
+    assert len(parsed) == bound + 5
+    assert sum(ref() is not None for ref in parsed) <= bound

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -23,7 +25,7 @@ from forcinglab import (
     truth_value,
 )
 from forcinglab.forcing import context_for
-from forcinglab.formulas import And, Eq, ExistsIn, ForallIn, Imp, Mem, Not, Or
+from forcinglab.formulas import And, Check, Eq, ExistsIn, ForallIn, Imp, Mem, Not, Or
 from forcinglab.names import condition_codes
 from forcinglab.poset import Poset
 
@@ -203,6 +205,17 @@ def test_truth_value_versus_forcing(P, env):
     tv = truth_value(A, phi, env)
     for p in P.ids:
         assert forces(P, p, phi, env) == A.leq(A.embedding(p), tv)
+
+
+def test_context_is_freed_with_its_poset():
+    P = Poset("owned", ["a", "b", "t"], "t", [("a", "t"), ("b", "t")])
+    env = {"gen": generic_name(P)}
+    assert forces_set(P, Mem(Check(HF0), "gen"), env) == {"a"}
+    assert context_for(P) is context_for(P)
+    ref = weakref.ref(P)
+    del P, env
+    gc.collect()
+    assert ref() is None
 
 
 def test_oracle_smoke(P, env):
