@@ -6,13 +6,26 @@ Everything infinite in the classical statements is finitized by an explicit
 parameter: the block size s stands in for "every infinite subset", search
 targets bound the sets produced, and exhaustion of the finite universe is
 reported rather than treated as a failure.
+
+The partition search turns the coloring into bitmask tables once per call,
+one per level and color, and finds each row's choice function by a
+depth-first search in lexicographic order that drops a partial choice as
+soon as it can no longer be completed.  Since picks only ever narrow what
+can still be completed, the first witness found is the one a plain scan of
+every choice function in product order would return (``hl_search``).
+Pure decision compiles clopen predicates against one read-only environment
+per Mathias poset, so the forcing memo is shared across decisions.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
+from weakref import WeakKeyDictionary
 
 from .errors import ForcingLabError, InputError, SizeCapError
 from .formulas import And, Eq, Formula, Mem, Not, Or
@@ -423,8 +436,22 @@ def hl_search(trees: Sequence[LevelTree], f: LevelColoring) -> Optional[HlWitnes
     """Search for a level, stems, and per-level dense sets on which the
     coloring is constant, preferring low commitment levels.
 
-    Dense-set candidates per source node are scanned as choice functions in
-    lexicographic order, so results are deterministic.
+    Each tree's levels are listed once per call, sorted, so the extensions
+    of a node to a lower level are one run of positions and a node set is a
+    bitmask over them.  The coloring becomes one table per level n and
+    color: on one tree the mask of level-n nodes of that color; on two, for
+    each level-n node v0 of the first tree, the mask of level-n nodes v1 of
+    the second with f(v0, v1) of that color.
+
+    On one tree, each level-m node above the stem takes its first level-n
+    extension of the color.  On two trees, the picks in the first tree (one
+    extension per level-m node) are searched depth first in lexicographic
+    order; the AND of their masks holds the second-tree nodes that go with
+    every pick, and each level-m node of the second tree takes the first of
+    them among its extensions.  A partial choice is dropped as soon as one
+    of those nodes has none left.  Picks only shrink that set, so no dropped
+    choice could have been completed, and the witness is the one a scan of
+    every choice function in product order returns.
     """
     d = len(trees)
     if d != f.d:
@@ -441,11 +468,13 @@ def hl_search(trees: Sequence[LevelTree], f: LevelColoring) -> Optional[HlWitnes
     f.validate_total(trees)
     if depth < 1:
         return None
+    levels = [tuple(T.level(l) for l in range(depth + 1)) for T in trees]
+    tables = [_hl_tables(levels, f, n) for n in range(depth + 1)]
     for l in range(depth):
-        for stems in itertools.product(*(T.level(l) for T in trees)):
+        for stems in itertools.product(*(L[l] for L in levels)):
             rows = []
             for m in range(l, depth):
-                row = _hl_row(trees, f, stems, m, depth)
+                row = _hl_row(levels, tables, stems, m, depth)
                 if row is None:
                     rows = None
                     break
@@ -455,65 +484,91 @@ def hl_search(trees: Sequence[LevelTree], f: LevelColoring) -> Optional[HlWitnes
     return None
 
 
+def _hl_tables(levels: list[tuple[tuple[str, ...], ...]], f: LevelColoring, n: int) -> list:
+    """Per color: on one tree the mask of level-n nodes of that color; on
+    two, per level-n node of the first tree, the mask of level-n nodes of
+    the second that it colors that way."""
+    values = f.values
+    if len(levels) == 1:
+        tables = [0] * f.k
+        for i, v in enumerate(levels[0][n]):
+            tables[values[(v,)]] |= 1 << i
+        return tables
+    level1 = levels[1][n]
+    tables = [[0] * len(levels[0][n]) for _ in range(f.k)]
+    for i, v0 in enumerate(levels[0][n]):
+        for j, v1 in enumerate(level1):
+            tables[values[(v0, v1)]][i] |= 1 << j
+    return tables
+
+
+def _spans(level: tuple[str, ...], us: Iterable[str]) -> list[range]:
+    """Positions in a sorted level of the extensions of each node."""
+    return [range(bisect_left(level, u), bisect_left(level, u + "2")) for u in us]
+
+
+def _span_mask(span: range) -> int:
+    return (1 << span.stop) - (1 << span.start)
+
+
+def _first(level: tuple[str, ...], mask: int) -> str:
+    return level[(mask & -mask).bit_length() - 1]
+
+
 def _hl_row(
-    trees: Sequence[LevelTree],
-    f: LevelColoring,
+    levels: list[tuple[tuple[str, ...], ...]],
+    tables: list[list],
     stems: tuple[str, ...],
     m: int,
     depth: int,
 ) -> Optional[HlRow]:
-    d = len(trees)
+    sources = [[L[m][i] for i in _spans(L[m], [stem])[0]] for L, stem in zip(levels, stems)]
     for n in range(m, depth + 1):
-        for color in range(f.k):
-            if d == 1:
-                sources = trees[0].extensions(stems[0], m)
-                chosen = []
-                for u in sources:
-                    v = next(
-                        (v for v in trees[0].extensions(u, n) if f.color((v,)) == color),
-                        None,
-                    )
-                    if v is None:
-                        chosen = None
-                        break
-                    chosen.append(v)
-                if chosen is not None:
-                    return HlRow(n, (frozenset(chosen),), color)
+        spans = [_spans(L[n], us) for L, us in zip(levels, sources)]
+        for color, table in enumerate(tables[n]):
+            if len(levels) == 1:
+                hits = [table & _span_mask(span) for span in spans[0]]
+                if all(hits):
+                    return HlRow(n, (frozenset(_first(levels[0][n], h) for h in hits),), color)
             else:
-                row = _hl_row_pair(trees, f, stems, m, n, color)
+                row = _hl_row_pair(levels[0][n], levels[1][n], table, spans, n, color)
                 if row is not None:
                     return row
     return None
 
 
 def _hl_row_pair(
-    trees: Sequence[LevelTree],
-    f: LevelColoring,
-    stems: tuple[str, ...],
-    m: int,
+    level0: tuple[str, ...],
+    level1: tuple[str, ...],
+    table: list[int],
+    spans: list[list[range]],
     n: int,
     color: int,
 ) -> Optional[HlRow]:
-    u0s = trees[0].extensions(stems[0], m)
-    u1s = trees[1].extensions(stems[1], m)
-    cand0 = [trees[0].extensions(u, n) for u in u0s]
-    cand1 = {u1: trees[1].extensions(u1, n) for u1 in u1s}
-    for picks in itertools.product(*cand0):
-        d0 = frozenset(picks)
-        d1 = []
-        ok = True
-        for u1 in u1s:
-            v1 = next(
-                (v for v in cand1[u1] if all(f.color((v0, v)) == color for v0 in d0)),
-                None,
-            )
-            if v1 is None:
-                ok = False
-                break
-            d1.append(v1)
-        if ok:
-            return HlRow(n, (d0, frozenset(d1)), color)
-    return None
+    spans0 = spans[0]
+    targets = [_span_mask(span) for span in spans[1]]
+    picks: list[int] = []
+
+    def extend(i: int, common: int) -> int:
+        # common: second-tree nodes colored `color` against every pick so far
+        if i == len(spans0):
+            return common
+        for b in spans0[i]:
+            narrowed = common & table[b]
+            if all(narrowed & t for t in targets):
+                picks.append(b)
+                found = extend(i + 1, narrowed)
+                if found:
+                    return found
+                picks.pop()
+        return 0
+
+    common = extend(0, (1 << len(level1)) - 1)
+    if not common:
+        return None
+    d0 = frozenset(level0[b] for b in picks)
+    d1 = frozenset(_first(level1, common & t) for t in targets)
+    return HlRow(n, (d0, d1), color)
 
 
 def check_hl_witness(
@@ -672,58 +727,68 @@ class ClopenPredicate:
         return any(ordered[: len(pre)] == pre for pre in self.accepted)
 
 
-def clopen_formula(M: Poset, X: ClopenPredicate) -> tuple[Formula, dict[str, Name]]:
+def clopen_formula(M: Poset, X: ClopenPredicate) -> tuple[Formula, Mapping[str, Name]]:
     """Compile membership of the generic real in X to a formula over the
-    canonical name for the union of the stems in the generic filter."""
-    env = {"real": mathias_real_name(M)}
-    universe = _mathias_universe(M)
-    for x in range(universe):
-        env[f"k{x}"] = check_name(von_neumann(x), M)
-    true_f: Formula = Eq("real", "real")
-    disjuncts = []
-    for pre in sorted(X.accepted):
-        if not pre:
-            disjuncts.append(true_f)
-            continue
-        parts: list[Formula] = [Mem(f"k{x}", "real") for x in pre]
-        parts.extend(Not(Mem(f"k{y}", "real")) for y in range(pre[-1]) if y not in pre)
-        g = parts[0]
-        for part in parts[1:]:
-            g = And(g, part)
-        disjuncts.append(g)
+    canonical name for the union of the stems in the generic filter.
+
+    The environment binds ``real`` and the check names ``k0``, ``k1``, ...
+    of the universe.  It is built once per poset and shared by every call,
+    so the forcing context's memo entries for common subformulas serve every
+    predicate; it is a read-only mapping.
+    """
+    env = _clopen_env(M)
+    disjuncts = [_prefix_formula(pre) for pre in sorted(X.accepted)]
     if not disjuncts:
-        return Not(true_f), env
+        return Not(_prefix_formula(())), env
     out = disjuncts[0]
     for g in disjuncts[1:]:
         out = Or(out, g)
     return out, env
 
 
-_REAL_NAMES: dict[int, tuple[Poset, Name]] = {}
+@lru_cache(maxsize=1024)
+def _prefix_formula(pre: tuple[int, ...]) -> Formula:
+    """The increasing enumeration of the real starts with pre.  One shared
+    formula object per prefix, so memo lookups on it compare by identity
+    rather than by structure."""
+    if not pre:
+        return Eq("real", "real")
+    parts: list[Formula] = [Mem(f"k{x}", "real") for x in pre]
+    parts.extend(Not(Mem(f"k{y}", "real")) for y in range(pre[-1]) if y not in pre)
+    g = parts[0]
+    for part in parts[1:]:
+        g = And(g, part)
+    return g
+
+
+_CLOPEN_ENVS: "WeakKeyDictionary[Poset, Mapping[str, Name]]" = WeakKeyDictionary()
+
+
+def _clopen_env(M: Poset) -> Mapping[str, Name]:
+    env = _CLOPEN_ENVS.get(M)
+    if env is None:
+        entries = []
+        universe = 0
+        for cid in M.ids:
+            stem, envelope = mathias_decode(cid)
+            for x in stem:
+                entries.append((check_name(von_neumann(x), M), cid))
+            if envelope:
+                universe = max(universe, max(envelope) + 1)
+        names = {"real": Name(entries)}
+        for x in range(universe):
+            names[f"k{x}"] = check_name(von_neumann(x), M)
+        env = _CLOPEN_ENVS[M] = MappingProxyType(names)
+    return env
 
 
 def mathias_real_name(M: Poset) -> Name:
     """Name for the union of the stems along the generic filter."""
-    hit = _REAL_NAMES.get(id(M))
-    if hit is not None and hit[0] is M:
-        return hit[1]
-    entries = []
-    for cid in M.ids:
-        stem, _ = mathias_decode(cid)
-        for x in stem:
-            entries.append((check_name(von_neumann(x), M), cid))
-    name = Name(entries)
-    _REAL_NAMES[id(M)] = (M, name)
-    return name
+    return _clopen_env(M)["real"]
 
 
 def _mathias_universe(M: Poset) -> int:
-    best = 0
-    for cid in M.ids:
-        _, env = mathias_decode(cid)
-        if env:
-            best = max(best, max(env) + 1)
-    return best
+    return len(_clopen_env(M)) - 1  # one check name k{x} per element x
 
 
 @dataclass(frozen=True)
@@ -777,12 +842,15 @@ def mathias_pure_decide(M: Poset, p: str, X: ClopenPredicate) -> PureDecision:
             return None
         return PureDecision(q, verdict == FORCES, route)
 
-    if B:
-        built = gnw_construct(family, 1, len(B), ground=frozenset(B))
+    if len(B) >= 2:
+        # The walk needs an element left over past the last one it chooses,
+        # so a target of the whole pool could never complete.
+        built = gnw_construct(family, 1, len(B) - 1, ground=frozenset(B))
         if built.completed:
             found = attempt(built.H, "construct")
             if found:
                 return found
+    if B:
         for h in range(len(B), 0, -1):
             searched = gnw_dichotomy_search(family, h, 1, ground=frozenset(B))
             if searched:

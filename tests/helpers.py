@@ -16,6 +16,7 @@ from functools import lru_cache
 from forcinglab import Poset
 from forcinglab.formulas import And, Eq, ExistsIn, ForallIn, Imp, Mem, Not, Or
 from forcinglab.names import Name, check_name, generic_name
+from forcinglab.ramsey import HlRow, HlWitness
 
 # ---------------------------------------------------------------------------
 # labeled posets
@@ -249,3 +250,58 @@ def quantifier_bounds_small(f, env, cap: int = 64) -> bool:
     if isinstance(f.bound, str) and f.bound in env and len(env[f.bound].entries) > cap:
         return False
     return quantifier_bounds_small(f.body, env, cap)
+
+
+# ---------------------------------------------------------------------------
+# level-tree partitions
+# ---------------------------------------------------------------------------
+
+
+def hl_search_reference(trees, f):
+    """The level-tree partition search as a plain scan: every choice function
+    of dense-set picks in product order, each checked against the coloring
+    pair by pair.  ``ramsey.hl_search`` must return exactly its witness."""
+    depth = f.depth
+    if depth < 1:
+        return None
+    for l in range(depth):
+        for stems in itertools.product(*(T.level(l) for T in trees)):
+            rows = []
+            for m in range(l, depth):
+                row = _reference_row(trees, f, stems, m, depth)
+                if row is None:
+                    break
+                rows.append((m, row))
+            else:
+                return HlWitness(l, tuple(stems), tuple(rows))
+    return None
+
+
+def _reference_row(trees, f, stems, m, depth):
+    for n in range(m, depth + 1):
+        for color in range(f.k):
+            if len(trees) == 1:
+                chosen = []
+                for u in trees[0].extensions(stems[0], m):
+                    v = next((v for v in trees[0].extensions(u, n) if f.color((v,)) == color), None)
+                    if v is None:
+                        break
+                    chosen.append(v)
+                else:
+                    return HlRow(n, (frozenset(chosen),), color)
+                continue
+            u1s = trees[1].extensions(stems[1], m)
+            cand0 = [trees[0].extensions(u, n) for u in trees[0].extensions(stems[0], m)]
+            for picks in itertools.product(*cand0):
+                d1 = []
+                for u1 in u1s:
+                    v1 = next(
+                        (v for v in trees[1].extensions(u1, n) if all(f.color((v0, v)) == color for v0 in picks)),
+                        None,
+                    )
+                    if v1 is None:
+                        break
+                    d1.append(v1)
+                else:
+                    return HlRow(n, (frozenset(picks), frozenset(d1)), color)
+    return None

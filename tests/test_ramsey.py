@@ -1,9 +1,12 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
+from helpers import hl_search_reference
 
-from forcinglab import InputError
+from forcinglab import InputError, zoo
 from forcinglab.forcing import FORCES, FORCES_NEGATION, UNDECIDED, decides
 from forcinglab.ramsey import (
     ACCEPTS,
@@ -25,6 +28,7 @@ from forcinglab.ramsey import (
     is_mn_dense,
     is_strong_subtree,
     mathias_pure_decide,
+    mathias_real_name,
     seq_tree_has_path,
     seq_tree_rank_certificate,
     strong_subtree_assemble,
@@ -245,6 +249,39 @@ def test_hl_search_agrees_with_bruteforce_existence():
             assert check_hl_witness([T], f, found)
 
 
+def _pruned_tree(rng, depth):
+    """A random dead-end-free subtree of the full tree: each node keeps one
+    or both children."""
+    nodes = {""}
+    frontier = [""]
+    for _ in range(depth):
+        frontier = [
+            t + c
+            for t in frontier
+            for c in rng.choice([("0",), ("1",), ("0", "1"), ("0", "1")])
+        ]
+        nodes.update(frontier)
+    return LevelTree(depth, frozenset(nodes))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("k", [1, 2])
+def test_hl_search_matches_reference_scan(d, k):
+    rng = random.Random(f"hl/{d}/{k}")
+    for depth in range(5):
+        for pruned in (False, True):
+            for _ in range(6):
+                trees = [_pruned_tree(rng, depth) if pruned else LevelTree(depth) for _ in range(d)]
+                values = {}
+                for l in range(depth + 1):
+                    for combo in itertools.product(*(T.level(l) for T in trees)):
+                        values[combo] = rng.randrange(k)
+                f = LevelColoring(d, depth, k, values)
+                w = hl_search(trees, f)
+                assert w == hl_search_reference(trees, f)
+                assert w is None or check_hl_witness(trees, f, w)
+
+
 def test_hl_checker_rejects_tampering():
     f = _coloring(3, lambda combo: 0)
     T = LevelTree(3)
@@ -351,6 +388,38 @@ def test_pure_decide_verified_by_filters(mathias6):
                 if not real:
                     continue
                 assert X.member(real) == d.forces_membership
+
+
+def test_pure_decide_construct_route(mathias6):
+    p = mathias_id((0,), {0, 1, 2, 3, 4})
+    X = ClopenPredicate(2, frozenset([(1, 2)]))
+    d = mathias_pure_decide(mathias6, p, X)
+    assert d.route == "construct"
+    assert d.condition == mathias_id((0,), {0, 1, 2, 3}) and not d.forces_membership
+    phi, env = clopen_formula(mathias6, X)
+    assert decides(mathias6, d.condition, phi, env) == FORCES_NEGATION
+
+
+def test_clopen_environment_shared_and_read_only(mathias6):
+    _, env = clopen_formula(mathias6, ClopenPredicate(1, frozenset([(0,)])))
+    _, again = clopen_formula(mathias6, ClopenPredicate(2, frozenset([(1, 2)])))
+    assert again is env
+    assert env["real"] == mathias_real_name(mathias6)
+    assert sorted(env) == ["k0", "k1", "k2", "k3", "k4", "k5", "real"]
+    with pytest.raises(TypeError):
+        env["real"] = env["k0"]
+
+
+def test_mathias_poset_is_not_kept_alive():
+    M = zoo.mathias(4)
+    ref = weakref.ref(M)
+    mathias_real_name(M)
+    X = ClopenPredicate(1, frozenset([(0,)]))
+    clopen_formula(M, X)
+    mathias_pure_decide(M, M.top, X)
+    del M
+    gc.collect()
+    assert ref() is None
 
 
 # -- long paths versus rank certificates --------------------------------------
