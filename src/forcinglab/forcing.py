@@ -46,11 +46,13 @@ def context_for(P: Poset) -> "ForcingContext":
 class ForcingContext:
     """Per-poset memo tables for atomic sets, formula sets, and the oracle.
 
-    A context is not thread-safe: formula memo keys intern environments as
-    tokens handed out by a check-then-append on shared tables, so two threads
-    evaluating different environments can be given the same token and read
-    each other's entries.  Give each thread its own poset (and so its own
-    context), or serialize the calls.
+    A formula's entry is keyed on the formula and the names its free
+    variables denote, so equal environments share entries whatever mapping
+    object carries them, and an environment may change between calls.  Every
+    memo entry is a function of its key alone, so two writes of one key store
+    the same value.  On CPython with the global interpreter lock, threads
+    sharing one context get the answers a single thread gets
+    (``tests/test_forcing.py`` checks this with 8 threads).
     """
 
     def __init__(self, P: Poset):
@@ -80,13 +82,9 @@ class ForcingContext:
         self._forces: dict[tuple, int] = {}
         self._oracle: dict[tuple, int] = {}
         self._interp: dict[tuple[Name, int], HF] = {}
-        self._free: dict[Formula, frozenset[str]] = {}
+        self._free: dict[Formula, tuple[str, ...]] = {}
         self._validated: set[Name] = set()
         self._entry_order: dict[Name, tuple] = {}
-        # environments are interned by identity; callers must not mutate an
-        # environment after evaluating against it
-        self._env_tokens: dict[int, int] = {}
-        self._env_keepalive: list[Mapping[str, Name]] = []
 
     # -- set combinators -----------------------------------------------------
 
@@ -220,45 +218,41 @@ class ForcingContext:
 
     # -- formula forcing sets ----------------------------------------------
 
-    def free_vars(self, f: Formula) -> frozenset[str]:
+    def _free_vars(self, f: Formula) -> tuple[str, ...]:
+        """The free variables of f, sorted; computed once per formula."""
         hit = self._free.get(f)
         if hit is None:
             if isinstance(f, (Mem, Eq)):
-                hit = frozenset(t for t in (f.left, f.right) if isinstance(t, str))
+                found = {t for t in (f.left, f.right) if isinstance(t, str)}
             elif isinstance(f, Not):
-                hit = self.free_vars(f.sub)
+                found = set(self._free_vars(f.sub))
             elif isinstance(f, (And, Or, Imp)):
-                hit = self.free_vars(f.left) | self.free_vars(f.right)
-            else:
-                hit = self.free_vars(f.body) - {f.var}
+                found = {*self._free_vars(f.left), *self._free_vars(f.right)}
+            elif isinstance(f, (ForallIn, ExistsIn)):
+                found = set(self._free_vars(f.body)) - {f.var}
                 if isinstance(f.bound, str):
-                    hit |= {f.bound}
-            self._free[f] = hit
+                    found.add(f.bound)
+            else:
+                raise InputError(f"not a formula node: {f!r}")
+            hit = self._free[f] = tuple(sorted(found))
         return hit
+
+    def _key(self, f: Formula, env: Mapping[str, Name], binds: dict[str, Name]) -> tuple:
+        """f with the names its free variables denote, in sorted order; a
+        variable resolves through binds first, then env."""
+        try:
+            return (f, tuple([binds[v] if v in binds else env[v] for v in self._free_vars(f)]))
+        except KeyError as exc:
+            raise InputError(f"unbound symbol {exc.args[0]!r}") from None
 
     def _resolve(self, term: Term, env: Mapping[str, Name], binds: dict[str, Name]) -> Name:
         if isinstance(term, Check):
             return check_name(term.value, self.poset)
         if term in binds:
             return binds[term]
-        name = env.get(term)
-        if name is None:
-            raise InputError(f"unbound symbol {term!r}")
+        name = env[term]  # the node's key has checked that it resolves
         self.require_valid(name)
         return name
-
-    def _key(self, f: Formula, env: Mapping[str, Name], binds: dict[str, Name]) -> tuple:
-        token = self._env_tokens.get(id(env))
-        if token is None:
-            token = len(self._env_keepalive)
-            self._env_tokens[id(env)] = token
-            self._env_keepalive.append(env)
-        if not binds:
-            return (f, token)
-        parts = tuple(
-            (v, binds[v]) for v in sorted(self.free_vars(f)) if v in binds
-        )
-        return (f, token, parts)
 
     def forces_set(self, f: Formula, env: Mapping[str, Name], binds: Optional[dict[str, Name]] = None) -> int:
         binds = binds or {}
@@ -299,8 +293,6 @@ class ForcingContext:
                 if S == self.full:
                     break
             out = self.dense_below(S)
-        else:
-            raise InputError(f"not a formula node: {f!r}")
         self._forces[key] = out
         return out
 
@@ -349,8 +341,6 @@ class ForcingContext:
                 out |= guard & self.oracle_mask(f.body, env, {**binds, f.var: child})
                 if out == self.filter_full:
                     break
-        else:
-            raise InputError(f"not a formula node: {f!r}")
         self._oracle[key] = out
         return out
 

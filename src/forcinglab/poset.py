@@ -24,10 +24,10 @@ kernels on first use.
 
 ``Poset`` values are not modified after ``__init__`` apart from their lazily
 built caches, which are private and always rebuilt to the same value, so a
-poset may be read from several threads.  The forcing context evaluated over
-it may not: see ``forcing.ForcingContext``.  That context is kept in a slot of
-its poset (``forcing.context_for`` fills it), so it lives exactly as long as
-the poset does.
+poset may be read from several threads.  On CPython the forcing context
+evaluated over it may be shared too: see ``forcing.ForcingContext``.  That
+context is kept in a slot of its poset (``forcing.context_for`` fills it), so
+it lives exactly as long as the poset does.
 """
 
 from __future__ import annotations

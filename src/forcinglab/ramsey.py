@@ -14,7 +14,8 @@ soon as it can no longer be completed.  Since picks only ever narrow what
 can still be completed, the first witness found is the one a plain scan of
 every choice function in product order would return (``hl_search``).
 Pure decision compiles clopen predicates against one read-only environment
-per Mathias poset, so the forcing memo is shared across decisions.
+per Mathias poset and one formula object per accepted prefix, so decisions
+reuse both instead of rebuilding them.
 """
 
 from __future__ import annotations
@@ -403,14 +404,6 @@ class LevelColoring:
         except KeyError as exc:
             raise InputError(f"coloring is missing the tuple {nodes!r}") from exc
 
-    def validate_total(self, trees: Sequence[LevelTree]) -> None:
-        for l in range(self.depth + 1):
-            for combo in itertools.product(*(T.level(l) for T in trees)):
-                if combo not in self.values:
-                    raise InputError(f"coloring is missing the tuple {combo!r}")
-                if not 0 <= self.values[combo] < self.k:
-                    raise InputError(f"color out of range at {combo!r}")
-
 
 @dataclass(frozen=True)
 class HlRow:
@@ -465,11 +458,10 @@ def hl_search(trees: Sequence[LevelTree], f: LevelColoring) -> Optional[HlWitnes
         raise SizeCapError("depth beyond 5 is out of scale")
     if f.k > 2:
         raise SizeCapError("more than two colors is out of scale")
-    f.validate_total(trees)
-    if depth < 1:
-        return None
     levels = [tuple(T.level(l) for l in range(depth + 1)) for T in trees]
     tables = [_hl_tables(levels, f, n) for n in range(depth + 1)]
+    if depth < 1:
+        return None
     for l in range(depth):
         for stems in itertools.product(*(L[l] for L in levels)):
             rows = []
@@ -487,19 +479,31 @@ def hl_search(trees: Sequence[LevelTree], f: LevelColoring) -> Optional[HlWitnes
 def _hl_tables(levels: list[tuple[tuple[str, ...], ...]], f: LevelColoring, n: int) -> list:
     """Per color: on one tree the mask of level-n nodes of that color; on
     two, per level-n node of the first tree, the mask of level-n nodes of
-    the second that it colors that way."""
-    values = f.values
-    if len(levels) == 1:
-        tables = [0] * f.k
-        for i, v in enumerate(levels[0][n]):
-            tables[values[(v,)]] |= 1 << i
+    the second that it colors that way.
+
+    This is where the search reads the coloring, so it also checks that
+    every tuple of level-n nodes has a color in range(k)."""
+    values, k = f.values, f.k
+    try:
+        if len(levels) == 1:
+            tables = [0] * k
+            for i, v in enumerate(levels[0][n]):
+                c = values[(v,)]
+                if not 0 <= c < k:
+                    raise InputError(f"color out of range at {(v,)!r}")
+                tables[c] |= 1 << i
+            return tables
+        level1 = levels[1][n]
+        tables = [[0] * len(levels[0][n]) for _ in range(k)]
+        for i, v0 in enumerate(levels[0][n]):
+            for j, v1 in enumerate(level1):
+                c = values[(v0, v1)]
+                if not 0 <= c < k:
+                    raise InputError(f"color out of range at {(v0, v1)!r}")
+                tables[c][i] |= 1 << j
         return tables
-    level1 = levels[1][n]
-    tables = [[0] * len(levels[0][n]) for _ in range(f.k)]
-    for i, v0 in enumerate(levels[0][n]):
-        for j, v1 in enumerate(level1):
-            tables[values[(v0, v1)]][i] |= 1 << j
-    return tables
+    except KeyError as exc:
+        raise InputError(f"coloring is missing the tuple {exc.args[0]!r}") from None
 
 
 def _spans(level: tuple[str, ...], us: Iterable[str]) -> list[range]:
@@ -733,8 +737,10 @@ def clopen_formula(M: Poset, X: ClopenPredicate) -> tuple[Formula, Mapping[str, 
 
     The environment binds ``real`` and the check names ``k0``, ``k1``, ...
     of the universe.  It is built once per poset and shared by every call,
-    so the forcing context's memo entries for common subformulas serve every
-    predicate; it is a read-only mapping.
+    which only saves rebuilding those names: the forcing memo is keyed on
+    the names a formula's variables denote, so its entries for common
+    subformulas serve every predicate whatever environment object carries
+    them.  It is a read-only mapping.
     """
     env = _clopen_env(M)
     disjuncts = [_prefix_formula(pre) for pre in sorted(X.accepted)]

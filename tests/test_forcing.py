@@ -1,5 +1,9 @@
 import gc
 import itertools
+import random
+import sys
+import threading
+import time
 import weakref
 
 import pytest
@@ -24,7 +28,7 @@ from forcinglab import (
     soundness_disagreements,
     truth_value,
 )
-from forcinglab.forcing import context_for
+from forcinglab.forcing import ForcingContext, context_for
 from forcinglab.formulas import And, Check, Eq, ExistsIn, ForallIn, Imp, Mem, Not, Or
 from forcinglab.names import condition_codes
 from forcinglab.poset import Poset
@@ -233,3 +237,115 @@ def test_oracle_smoke(P, env):
     assert soundness_disagreements(P, fs, env) == []
     assert oracle_forces(P, "0.0.0", Mem("zq", "gen"), env)
     assert oracle_set(P, Mem("zq", "gen"), env) == forces_set(P, Mem("zq", "gen"), env)
+
+
+def _cohen12_pool(P):
+    """Names over cohen(1,2): constants, the generic name, and names hung on
+    single conditions, so that forcing sets differ between bindings."""
+    codes = condition_codes(P)
+    pool = [check_name(x, P) for x in (HF0, HF1, HF2)]
+    pool.append(generic_name(P))
+    pool.extend(check_name(codes[q], P) for q in P.ids[:4])
+    pool.extend(Name([(pool[k % 3], q)]) for k, q in enumerate(P.ids[:4]))
+    return pool
+
+
+_THREAD_FORMULAS = (
+    Mem("a", "b"),
+    Eq("a", "b"),
+    Not(Mem("a", "b")),
+    ExistsIn("v", "b", Eq("v", "a")),
+    ForallIn("v", "a", Mem("v", "b")),
+)
+
+
+def test_shared_context_across_threads(cohen12):
+    P = cohen12[0]
+    pool = _cohen12_pool(P)
+    rng = random.Random(6)
+    workers, per_worker = 8, 500
+    trials = [
+        (_THREAD_FORMULAS[rng.randrange(len(_THREAD_FORMULAS))], rng.choice(pool), rng.choice(pool))
+        for _ in range(workers * per_worker)
+    ]
+
+    def answer(ctx, f, a, b):
+        # every trial brings its own environment object
+        env = {"a": a, "b": b}
+        return ctx.forces_set(f, env), ctx.oracle_condition_set(f, env)
+
+    single = ForcingContext(P)
+    expected = [answer(single, *trial) for trial in trials]
+    shared = ForcingContext(P)
+    start = threading.Barrier(workers)
+    wrong = [0] * workers
+    done = [0] * workers
+
+    def work(w):
+        start.wait()
+        for t in range(w, len(trials), workers):
+            wrong[w] += answer(shared, *trials[t]) != expected[t]
+            done[w] += 1
+
+    def give_up_the_lock(frame, event, arg):
+        # switch threads after every C call, far more often than the
+        # switch interval alone would
+        if event == "c_return":
+            time.sleep(0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    threading.setprofile(give_up_the_lock)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        threading.setprofile(None)
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert done == [per_worker] * workers
+    assert sum(wrong) == 0, f"{sum(wrong)} of {len(trials)} trials got another environment's answer"
+
+
+def test_equal_environments_share_memo_entries(cohen12):
+    P = cohen12[0]
+    ctx = ForcingContext(P)
+    f = ForallIn("v", "gen", ExistsIn("u", "gen", Eq("u", "v")))
+    first = ctx.forces_set(f, {"gen": generic_name(P)})
+    size = len(ctx._forces)
+    for _ in range(1000):
+        assert ctx.forces_set(f, {"gen": generic_name(P)}) == first
+    assert len(ctx._forces) == size
+
+
+def test_mutated_environment_gets_fresh_answer(P, env):
+    ctx = ForcingContext(P)
+    f = Mem("a", "gen")
+    e = {"a": env["zq"], "gen": env["gen"]}
+    before = ctx.forces_set(f, e), ctx.oracle_condition_set(f, e)
+    e["a"] = env["e"]
+    after = ctx.forces_set(f, e), ctx.oracle_condition_set(f, e)
+    fresh = ForcingContext(P)
+    assert after == (fresh.forces_set(f, e), fresh.oracle_condition_set(f, e))
+    assert after != before
+
+
+def test_bound_variable_shadows_environment(P, env):
+    f = ExistsIn("a", "gen", Eq("a", "zq"))
+    shadowed = {**env, "a": env["e"]}
+    assert forces_set(P, f, shadowed) == forces_set(P, f, env) != frozenset()
+    assert oracle_set(P, f, shadowed) == oracle_set(P, f, env)
+
+
+@pytest.mark.parametrize("bound", ["e", "two"])
+def test_unbound_symbol_raises_whatever_the_quantifier_reaches(P, env, bound):
+    # with bound "e" the quantifier has no entry, so the body is never evaluated
+    f = ForallIn("x", "a", Mem("y", "b"))
+    e = {"a": env[bound], "b": env["gen"]}
+    with pytest.raises(InputError, match="unbound symbol 'y'"):
+        forces_set(P, f, e)
+    with pytest.raises(InputError, match="unbound symbol 'y'"):
+        oracle_set(P, f, e)

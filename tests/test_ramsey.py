@@ -282,6 +282,25 @@ def test_hl_search_matches_reference_scan(d, k):
                 assert w is None or check_hl_witness(trees, f, w)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("depth", [0, 3])
+@pytest.mark.parametrize(
+    "fault, message",
+    [("missing", "missing the tuple"), ("k", "out of range"), ("negative", "out of range")],
+)
+def test_hl_search_rejects_bad_colorings(d, depth, fault, message):
+    # the faulty tuple is the last one of the deepest level, so every other
+    # value is read before it
+    values = dict(_coloring(depth, lambda combo: 0, d=d).values)
+    last = next(reversed(values))
+    if fault == "missing":
+        del values[last]
+    else:
+        values[last] = 2 if fault == "k" else -1
+    with pytest.raises(InputError, match=message):
+        hl_search([LevelTree(depth)] * d, LevelColoring(d, depth, 2, values))
+
+
 def test_hl_checker_rejects_tampering():
     f = _coloring(3, lambda combo: 0)
     T = LevelTree(3)
