@@ -230,7 +230,10 @@ def parse_family_file(text: str) -> FinFamily:
         if tokens[0] == "family":
             if len(tokens) != 2 or not tokens[1].startswith("N="):
                 raise InputError(f"line {lineno}: expected 'family N=<universe>'")
-            universe = int(tokens[1][2:])
+            try:
+                universe = int(tokens[1][2:])
+            except ValueError:
+                raise InputError(f"line {lineno}: the universe size is an integer") from None
         else:
             if universe is None:
                 raise InputError(f"line {lineno}: member before the family header")
@@ -257,8 +260,8 @@ def parse_coloring_file(text: str) -> LevelColoring:
     values: dict[tuple[str, ...], int] = {}
     for lineno, tokens in _content_lines(text):
         if tokens[0] == "coloring":
-            opts = dict(t.split("=", 1) for t in tokens[1:])
             try:
+                opts = dict(t.split("=", 1) for t in tokens[1:])
                 header = (int(opts["d"]), int(opts["depth"]), int(opts["k"]))
             except (KeyError, ValueError) as exc:
                 raise InputError(f"line {lineno}: expected d=, depth=, k=") from exc
@@ -279,7 +282,10 @@ def parse_coloring_file(text: str) -> LevelColoring:
                 decoded.append(nd)
             else:
                 raise InputError(f"line {lineno}: bad node {nd!r}")
-        values[tuple(decoded)] = int(tokens[arrow + 1])
+        try:
+            values[tuple(decoded)] = int(tokens[arrow + 1])
+        except ValueError:
+            raise InputError(f"line {lineno}: colors are integers") from None
     if header is None:
         raise InputError("missing coloring header")
     return LevelColoring(header[0], header[1], header[2], values)
@@ -302,7 +308,10 @@ def parse_clopen_file(text: str) -> ClopenPredicate:
         if tokens[0] == "clopen":
             if len(tokens) != 2 or not tokens[1].startswith("horizon="):
                 raise InputError(f"line {lineno}: expected 'clopen horizon=<t>'")
-            horizon = int(tokens[1][8:])
+            try:
+                horizon = int(tokens[1][8:])
+            except ValueError:
+                raise InputError(f"line {lineno}: the horizon is an integer") from None
             continue
         if horizon is None:
             raise InputError(f"line {lineno}: prefix before the clopen header")

@@ -7,6 +7,16 @@ parameter: the block size s stands in for "every infinite subset", search
 targets bound the sets produced, and exhaustion of the finite universe is
 reported rather than treated as a failure.
 
+The accept/reject engine works on bitmasks: a family keeps each member as a
+mask (bit x for element x), and a prefix test ORs the elements of a set in
+increasing order into one running mask, looking each value up in the member
+masks.  Every status test first checks whether a prefix of the fixed part a
+is already a member, which settles it outright.  The construction's
+``settle`` builds one table per call, holding for every size-s block of the
+available pool whether it completes a; its shrink loop then decides each
+candidate from the entries of the candidate's blocks, in the same order as
+before, so it picks the same first candidate (``gnw_construct``).
+
 The partition search turns the coloring into bitmask tables once per call,
 one per level and color, and finds each row's choice function by a
 depth-first search in lexicographic order that drops a partial choice as
@@ -42,27 +52,65 @@ from .zoo import mathias_decode, mathias_id, mathias_pure_extension
 
 @dataclass(frozen=True)
 class FinFamily:
-    """A family of nonempty subsets of {0..universe_size-1}."""
+    """A family of nonempty subsets of {0..universe_size-1}.
+
+    ``_masks`` holds each member as a bitmask (bit x for element x), built
+    once, so a prefix test grows one OR and looks it up."""
 
     universe_size: int
     members: frozenset[frozenset[int]]
+    _masks: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        masks = set()
         for m in self.members:
             if not m:
                 raise InputError("family members must be nonempty")
             if not all(isinstance(x, int) and 0 <= x < self.universe_size for x in m):
                 raise InputError("family members must live inside the universe")
+            masks.add(_mask(m))
+        object.__setattr__(self, "_masks", frozenset(masks))
 
     def has_prefix(self, s: Sequence[int]) -> bool:
         """Does some initial segment of the increasing enumeration of s belong
         to the family?"""
-        acc = set()
-        for x in sorted(s):
-            acc.add(x)
-            if frozenset(acc) in self.members:
+        masks = self._masks
+        rest = _mask(s)
+        acc = 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            acc |= low
+            if acc in masks:
                 return True
         return False
+
+
+def _mask(xs: Iterable[int]) -> int:
+    out = 0
+    for x in xs:
+        out |= 1 << x
+    return out
+
+
+def _prefix_mask(masks: frozenset[int], xs: Iterable[int]) -> Optional[int]:
+    """The mask of the increasing sequence xs, or None when one of its
+    initial segments is a member."""
+    acc = 0
+    for x in xs:
+        acc |= 1 << x
+        if acc in masks:
+            return None
+    return acc
+
+
+def _hits(masks: frozenset[int], acc: int, bits: Iterable[int]) -> bool:
+    """Does acc, grown by the bits one at a time, pass through a member?"""
+    for b in bits:
+        acc |= b
+        if acc in masks:
+            return True
+    return False
 
 
 ACCEPTS = "accepts"
@@ -92,27 +140,35 @@ def gnw_accepts(F: FinFamily, a: Iterable[int], A: Iterable[int], s: int) -> str
     return NEITHER
 
 
-def _accepts(F: FinFamily, a_t: tuple[int, ...], A_t: tuple[int, ...], s: int) -> bool:
+def _accepts(F: FinFamily, a_t: tuple[int, ...], A_t: Sequence[int], s: int) -> bool:
+    masks = F._masks
+    a_mask = _prefix_mask(masks, a_t)
+    if a_mask is None:
+        return True  # a prefix of a_t is a prefix of a_t + B for every B
     floor = a_t[-1] if a_t else -1
-    beyond = [x for x in A_t if x > floor]
+    beyond = [1 << x for x in A_t if x > floor]
     for B in itertools.combinations(beyond, s):
-        if not F.has_prefix(a_t + B):
+        if not _hits(masks, a_mask, B):
             return False
     return True
 
 
-def _rejects(F: FinFamily, a_t: tuple[int, ...], A_t: tuple[int, ...], s: int) -> bool:
+def _rejects(F: FinFamily, a_t: tuple[int, ...], A_t: Sequence[int], s: int) -> bool:
     # Equivalent single-block form of "no subset of size >= s accepts": any
     # accepted block is itself an accepting subset, and a subset short on
     # elements past max(a) accepts vacuously.
     floor = a_t[-1] if a_t else -1
-    beyond = [x for x in A_t if x > floor]
+    beyond = [1 << x for x in A_t if x > floor]
     low = len(A_t) - len(beyond)
     j = min(s - 1, len(beyond))
     if low >= 1 and low + j >= s:
         return False
+    masks = F._masks
+    a_mask = _prefix_mask(masks, a_t)
+    if a_mask is None:
+        return len(beyond) < s  # every block completes a_t
     for C in itertools.combinations(beyond, s):
-        if F.has_prefix(a_t + C):
+        if _hits(masks, a_mask, C):
             return False
     return True
 
@@ -142,32 +198,50 @@ class GnwSearchResult:
 def gnw_dichotomy_search(
     F: FinFamily, h: int, m: int, ground: Optional[frozenset[int]] = None
 ) -> Optional[GnwSearchResult]:
-    """First H (size h upward, colex within a size) satisfying either horn.
+    """First H of size h, in colex order, satisfying either horn.
 
     Horn a: no family member is a subset of H.  Horn b: every B inside H with
     at least m elements has an initial segment in the family.  Returns None
-    when no candidate works at this finite scale.
+    when no candidate works at this finite scale.  Both horns pass from a
+    set to its subsets, so when no set of size h satisfies one, no larger
+    set does either.
     """
     pool = tuple(sorted(ground)) if ground is not None else tuple(range(F.universe_size))
     if not 1 <= h <= len(pool):
         raise InputError(f"target size {h} out of range for a pool of {len(pool)}")
     if not 1 <= m <= h:
         raise InputError("witness size must satisfy 1 <= m <= h")
-    for size in range(h, len(pool) + 1):
-        for combo in sorted(itertools.combinations(pool, size), key=lambda t: t[::-1]):
-            H = frozenset(combo)
-            if all(not mem <= H for mem in F.members):
-                return GnwSearchResult(H, "a")
-            if _horn_b(F, combo, m):
-                return GnwSearchResult(H, "b")
+    masks = F._masks
+    for combo in sorted(itertools.combinations(pool, h), key=lambda t: t[::-1]):
+        if _no_member_inside(masks, _mask(combo)):
+            return GnwSearchResult(frozenset(combo), "a")
+        if _horn_b(F, combo, m):
+            return GnwSearchResult(frozenset(combo), "b")
     return None
 
 
+def _no_member_inside(masks: frozenset[int], hmask: int) -> bool:
+    return all(mm & ~hmask for mm in masks)
+
+
 def _horn_b(F: FinFamily, H: tuple[int, ...], m: int) -> bool:
-    for r in range(m, len(H) + 1):
-        for B in itertools.combinations(H, r):
-            if not F.has_prefix(B):
+    """Does every B inside H with at least m elements have an initial
+    segment in the family?  Depth first over increasing sequences from H:
+    once a sequence is a member every extension passes, and a sequence of m
+    elements none of whose initial segments is a member fails (a larger B
+    passes if its first m elements do)."""
+    masks = F._masks
+    bits = [1 << x for x in H]
+    stack = [(0, 0, 0)]  # (mask so far, its size, next position)
+    while stack:
+        acc, size, nxt = stack.pop()
+        for i in range(nxt, len(bits)):
+            grown = acc | bits[i]
+            if grown in masks:
+                continue
+            if size + 1 >= m:
                 return False
+            stack.append((grown, size + 1, i + 1))
     return True
 
 
@@ -227,12 +301,24 @@ def gnw_construct(
     recording at each step the accepting continuations that were excluded.
     Exhausting the pool early yields a partial result with the transcript so
     far.
+
+    Each ``settle`` first checks whether a prefix of a_t is a member (then
+    every block completes it and avail accepts).  Otherwise it builds one
+    table, keyed by block mask, of whether each size-s block of avail
+    completes a_t.  Every element of avail lies past max(a_t), so the status
+    of a_t over any subset B of avail ranges over exactly the blocks inside
+    B: accepts when all of them complete a_t, rejects when none does.  The
+    shrink loop reads that off the table for each candidate, in the same
+    size-descending ``combinations`` order as a direct test of each
+    candidate, and every verdict equals the direct one; so the first
+    candidate it keeps, and the transcript, are unchanged.
     """
     pool = tuple(sorted(ground)) if ground is not None else tuple(range(F.universe_size))
     if not 1 <= h <= len(pool):
         raise InputError(f"target size {h} out of range for a pool of {len(pool)}")
     if not 1 <= s <= h:
         raise InputError("block size must satisfy 1 <= s <= h")
+    masks = F._masks
     transcript: list[tuple] = []
     avail = list(pool)
     chosen: list[int] = []
@@ -244,21 +330,30 @@ def gnw_construct(
         nonlocal avail
         if len(avail) < s:
             return False
-        st = gnw_accepts(F, a_t, avail, s)
-        if st != NEITHER:
+        a_mask = _prefix_mask(masks, a_t)
+        if a_mask is None:
+            # a prefix of a_t is a member: every block completes it
+            transcript.append(("decide", a_t, ACCEPTS))
+            statuses[a_t] = ACCEPTS
+            return True
+        # Every element of avail lies past max(a_t), so the s-blocks of a
+        # candidate B are exactly the blocks the status of (a_t, B) ranges
+        # over, and none of them has an element at or below max(a_t).  The
+        # bits are distinct powers of two, so a block's sum is its mask.
+        bits = [1 << x for x in avail]
+        table = {sum(block): _hits(masks, a_mask, block) for block in itertools.combinations(bits, s)}
+        st = _block_verdict(table, bits, s)
+        if st is not None:
             transcript.append(("decide", a_t, st))
             statuses[a_t] = st
             return True
-        for size in range(len(avail) - 1, s - 1, -1):
-            for B in itertools.combinations(avail, size):
-                if _accepts(F, a_t, B, s):
-                    verdict = ACCEPTS
-                elif _rejects(F, a_t, B, s):
-                    verdict = REJECTS
-                else:
+        for size in range(len(bits) - 1, s - 1, -1):
+            for B in itertools.combinations(bits, size):
+                verdict = _block_verdict(table, B, s)
+                if verdict is None:
                     continue
-                avail = list(B)
-                transcript.append(("shrink", a_t, frozenset(B), verdict))
+                avail = [b.bit_length() - 1 for b in B]
+                transcript.append(("shrink", a_t, frozenset(avail), verdict))
                 statuses[a_t] = verdict
                 return True
         return False
@@ -322,9 +417,19 @@ def gnw_construct(
             return GnwConstructResult(frozenset(rs), None, False, tuple(transcript))
         rs.append(picked)
     H = frozenset(rs)
-    if all(not mem <= H for mem in F.members):
+    if _no_member_inside(masks, _mask(rs)):
         return GnwConstructResult(H, "a", True, tuple(transcript))
     return GnwConstructResult(H, None, False, tuple(transcript))
+
+
+def _block_verdict(table: dict[int, bool], B: Sequence[int], s: int) -> Optional[str]:
+    """The status at block size s of a pair whose candidate B (bits, at
+    least s of them, all past max(a)) has its s-blocks in the table: accepts
+    when every block completes a, rejects when none does, else None."""
+    labels = map(table.__getitem__, map(sum, itertools.combinations(B, s)))
+    if next(labels):
+        return ACCEPTS if all(labels) else None
+    return None if any(labels) else REJECTS
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,15 @@ from functools import lru_cache
 from forcinglab import Poset
 from forcinglab.formulas import And, Eq, ExistsIn, ForallIn, Imp, Mem, Not, Or
 from forcinglab.names import Name, check_name, generic_name
-from forcinglab.ramsey import HlRow, HlWitness
+from forcinglab.ramsey import (
+    ACCEPTS,
+    NEITHER,
+    REJECTS,
+    GnwConstructResult,
+    GnwSearchResult,
+    HlRow,
+    HlWitness,
+)
 
 # ---------------------------------------------------------------------------
 # labeled posets
@@ -305,3 +313,166 @@ def _reference_row(trees, f, stems, m, depth):
                 else:
                     return HlRow(n, (frozenset(picks), frozenset(d1)), color)
     return None
+
+
+# ---------------------------------------------------------------------------
+# accept / reject
+# ---------------------------------------------------------------------------
+
+
+def _has_prefix_reference(F, s):
+    acc = set()
+    for x in sorted(s):
+        acc.add(x)
+        if frozenset(acc) in F.members:
+            return True
+    return False
+
+
+def accepts_reference(F, a_t, A_t, s):
+    floor = a_t[-1] if a_t else -1
+    beyond = [x for x in A_t if x > floor]
+    for B in itertools.combinations(beyond, s):
+        if not _has_prefix_reference(F, a_t + B):
+            return False
+    return True
+
+
+def rejects_reference(F, a_t, A_t, s):
+    floor = a_t[-1] if a_t else -1
+    beyond = [x for x in A_t if x > floor]
+    low = len(A_t) - len(beyond)
+    j = min(s - 1, len(beyond))
+    if low >= 1 and low + j >= s:
+        return False
+    for C in itertools.combinations(beyond, s):
+        if _has_prefix_reference(F, a_t + C):
+            return False
+    return True
+
+
+def _status_reference(F, a_t, A_t, s):
+    if accepts_reference(F, a_t, A_t, s):
+        return ACCEPTS
+    if rejects_reference(F, a_t, A_t, s):
+        return REJECTS
+    return NEITHER
+
+
+def _horn_b_reference(F, H, m):
+    for r in range(m, len(H) + 1):
+        for B in itertools.combinations(H, r):
+            if not _has_prefix_reference(F, B):
+                return False
+    return True
+
+
+def gnw_dichotomy_search_reference(F, h, m, ground=None):
+    """The dichotomy search with every prefix a fresh frozenset looked up in
+    the member set.  ``ramsey.gnw_dichotomy_search`` must return exactly its
+    result."""
+    pool = tuple(sorted(ground)) if ground is not None else tuple(range(F.universe_size))
+    for size in range(h, len(pool) + 1):
+        for combo in sorted(itertools.combinations(pool, size), key=lambda t: t[::-1]):
+            H = frozenset(combo)
+            if all(not mem <= H for mem in F.members):
+                return GnwSearchResult(H, "a")
+            if _horn_b_reference(F, combo, m):
+                return GnwSearchResult(H, "b")
+    return None
+
+
+def gnw_construct_reference(F, s, h, ground=None):
+    """The shrink-and-decide construction with every candidate of the shrink
+    loop decided by a fresh scan of its blocks.  ``ramsey.gnw_construct``
+    must return exactly its result, transcript included."""
+    pool = tuple(sorted(ground)) if ground is not None else tuple(range(F.universe_size))
+    transcript = []
+    avail = list(pool)
+    chosen = []
+    statuses = {}
+
+    def settle(a_t):
+        nonlocal avail
+        if len(avail) < s:
+            return False
+        st = _status_reference(F, a_t, tuple(avail), s)
+        if st != NEITHER:
+            transcript.append(("decide", a_t, st))
+            statuses[a_t] = st
+            return True
+        for size in range(len(avail) - 1, s - 1, -1):
+            for B in itertools.combinations(avail, size):
+                if accepts_reference(F, a_t, B, s):
+                    verdict = ACCEPTS
+                elif rejects_reference(F, a_t, B, s):
+                    verdict = REJECTS
+                else:
+                    continue
+                avail = list(B)
+                transcript.append(("shrink", a_t, frozenset(B), verdict))
+                statuses[a_t] = verdict
+                return True
+        return False
+
+    ok = settle(())
+    while ok and len(chosen) < h and avail:
+        n = min(avail)
+        chosen.append(n)
+        avail = [x for x in avail if x > n]
+        if len(avail) < s:
+            transcript.append(("exhausted", n))
+            ok = False
+            break
+        for r in range(0, len(chosen)):
+            for rest in itertools.combinations(chosen[:-1], r):
+                a_t = tuple(sorted(rest + (n,)))
+                if not settle(a_t):
+                    transcript.append(("exhausted", n))
+                    ok = False
+                    break
+            if not ok:
+                break
+    if not ok or len(chosen) < h:
+        return GnwConstructResult(frozenset(chosen) | frozenset(avail), None, False, tuple(transcript))
+
+    base = frozenset(chosen) | frozenset(avail)
+    if statuses.get((), None) == ACCEPTS:
+        if _horn_b_reference(F, tuple(sorted(base)), s):
+            return GnwConstructResult(base, "b", True, tuple(transcript))
+        return GnwConstructResult(base, None, False, tuple(transcript))
+
+    work = sorted(base)
+    transcript.append(("reject-walk", tuple(work)))
+    rs = []
+    while len(rs) < h:
+        floor = rs[-1] if rs else -1
+        picked = None
+        for x in work:
+            if x <= floor:
+                continue
+            tail = tuple(y for y in work if y > x)
+            if len(tail) < s:
+                continue
+            bad = False
+            for r in range(0, len(rs) + 1):
+                for sub in itertools.combinations(rs, r):
+                    a_t = tuple(sorted(sub + (x,)))
+                    if _status_reference(F, a_t, tail, s) != REJECTS:
+                        bad = True
+                        break
+                if bad:
+                    break
+            if bad:
+                transcript.append(("excluded", x))
+                continue
+            picked = x
+            transcript.append(("reject-step", x))
+            break
+        if picked is None:
+            return GnwConstructResult(frozenset(rs), None, False, tuple(transcript))
+        rs.append(picked)
+    H = frozenset(rs)
+    if all(not mem <= H for mem in F.members):
+        return GnwConstructResult(H, "a", True, tuple(transcript))
+    return GnwConstructResult(H, None, False, tuple(transcript))

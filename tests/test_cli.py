@@ -114,6 +114,24 @@ def test_ramsey_commands(tmp_path, capsys):
     assert code == 0 and "decides" in text
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["gnw", "--h", "1", "--m", "1", "--family"], "family N=x\n0\n"),
+        (["hl", "--coloring"], "coloring d=1 depth=1 k2\nε -> 0\n"),
+        (["hl", "--coloring"], "coloring d=1 depth=1 k=2\nε -> x\n"),
+        (["mathias", "--universe", "4", "--clopen"], "clopen horizon=x\n0\n"),
+    ],
+)
+def test_malformed_ramsey_input_exits_2(tmp_path, capsys, argv, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code = main(["ramsey", *argv, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: line ") and captured.err.count("\n") == 1
+
+
 def test_reports_are_deterministic(tmp_path, capsys):
     out = tmp_path / "m.poset"
     run(capsys, "mk", "mathias", "--universe", "4", "--out", str(out))

@@ -131,3 +131,23 @@ def test_clopen_file_roundtrip():
     assert print_clopen_file(X) == text
     with pytest.raises(InputError):
         parse_clopen_file("clopen horizon=1\n0 1\n")  # prefix too long
+
+
+def test_family_header_with_non_numeric_universe():
+    with pytest.raises(InputError, match="line 1"):
+        parse_family_file("family N=x\n0\n")
+
+
+def test_clopen_header_with_non_numeric_horizon():
+    with pytest.raises(InputError, match="line 1"):
+        parse_clopen_file("clopen horizon=x\n0\n")
+
+
+def test_coloring_header_token_without_equals():
+    with pytest.raises(InputError, match="line 1"):
+        parse_coloring_file("coloring d=1 depth=1 k2\nε -> 0\n")
+
+
+def test_coloring_entry_with_non_numeric_color():
+    with pytest.raises(InputError, match="line 2"):
+        parse_coloring_file("coloring d=1 depth=1 k=2\nε -> x\n")

@@ -4,7 +4,13 @@ import random
 import weakref
 
 import pytest
-from helpers import hl_search_reference
+from helpers import (
+    accepts_reference,
+    gnw_construct_reference,
+    gnw_dichotomy_search_reference,
+    hl_search_reference,
+    rejects_reference,
+)
 
 from forcinglab import InputError, zoo
 from forcinglab.forcing import FORCES, FORCES_NEGATION, UNDECIDED, decides
@@ -33,6 +39,7 @@ from forcinglab.ramsey import (
     seq_tree_rank_certificate,
     strong_subtree_assemble,
 )
+from forcinglab.ramsey import _accepts, _rejects
 from forcinglab.zoo import mathias_decode, mathias_id, mathias_pure_extension
 
 
@@ -163,6 +170,33 @@ def test_construct_transcript_exclusions_audited():
                 rs.append(entry[1])
         assert frozenset(rs) == r.H
     assert audited > 0
+
+
+def test_gnw_engine_matches_reference():
+    # the bitmask engine (member masks, prefix pre-check, one block table
+    # per settle) returns exactly what the frozenset-per-prefix scan returns
+    rng = random.Random(20261018)
+    routes = set()
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        members = {frozenset(rng.sample(range(n), rng.randint(1, min(n, 4)))) for _ in range(rng.randint(0, 12))}
+        F = FinFamily(n, frozenset(members))
+        ground = frozenset(rng.sample(range(n), rng.randint(1, n))) if rng.random() < 0.5 else None
+        size = n if ground is None else len(ground)
+        h = rng.randint(1, size)
+        s = rng.randint(1, h)
+        m = rng.randint(1, h)
+        assert gnw_dichotomy_search(F, h, m, ground) == gnw_dichotomy_search_reference(F, h, m, ground)
+        built = gnw_construct(F, s, h, ground)
+        assert built == gnw_construct_reference(F, s, h, ground)
+        routes.update(entry[0] for entry in built.transcript)
+        # each half of the status on its own, with a that may already hold a member
+        a = tuple(sorted(rng.sample(range(n), rng.randint(0, min(n, 3)))))
+        A = tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+        b = rng.randint(1, len(A))
+        assert _accepts(F, a, A, b) == accepts_reference(F, a, A, b)
+        assert _rejects(F, a, A, b) == rejects_reference(F, a, A, b)
+    assert {"decide", "shrink", "exhausted", "reject-walk", "excluded"} <= routes
 
 
 # -- level trees -------------------------------------------------------------
@@ -417,6 +451,21 @@ def test_pure_decide_construct_route(mathias6):
     assert d.condition == mathias_id((0,), {0, 1, 2, 3}) and not d.forces_membership
     phi, env = clopen_formula(mathias6, X)
     assert decides(mathias6, d.condition, phi, env) == FORCES_NEGATION
+
+
+@pytest.mark.parametrize(
+    "p, X, route, condition, forces",
+    [
+        ("s0.1.2.3.4:e0.1.2.3.4.5", ClopenPredicate(1, frozenset([(0,)])), "search", "s0.1.2.3.4:e0.1.2.3.4.5", True),
+        ("s0:e0.1.2", ClopenPredicate(2, frozenset([(0, 1)])), "shrink", "s0:e0.2", False),
+        ("s0.1.2.3.4.5:e0.1.2.3.4.5", ClopenPredicate(0, frozenset()), "collapse", "s0.1.2.3.4.5:e0.1.2.3.4.5", False),
+    ],
+)
+def test_pure_decide_fallback_routes(mathias6, p, X, route, condition, forces):
+    d = mathias_pure_decide(mathias6, p, X)
+    assert (d.route, d.condition, d.forces_membership) == (route, condition, forces)
+    phi, env = clopen_formula(mathias6, X)
+    assert decides(mathias6, d.condition, phi, env) == (FORCES if forces else FORCES_NEGATION)
 
 
 def test_clopen_environment_shared_and_read_only(mathias6):
