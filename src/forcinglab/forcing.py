@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Optional
 from .completion import RegularOpenAlgebra
 from .errors import ForcingLabError, InputError
 from .formulas import And, Check, Eq, ExistsIn, ForallIn, Formula, Imp, Mem, Not, Or, Term
-from .names import HF, Name, check_name, hereditary_names, validate_name
+from .names import HF, Name, _interpret, check_name, hereditary_names, validate_name
 from .poset import Poset, RowUnion
 
 def context_for(P: Poset) -> "ForcingContext":
@@ -81,7 +81,7 @@ class ForcingContext:
         self._eq: dict[tuple[Name, Name], int] = {}
         self._forces: dict[tuple, int] = {}
         self._oracle: dict[tuple, int] = {}
-        self._interp: dict[tuple[Name, int], HF] = {}
+        self._interp: list[dict[Name, HF]] = [{} for _ in range(self.nf)]
         self._free: dict[Formula, tuple[str, ...]] = {}
         self._validated: set[Name] = set()
         self._entry_order: dict[Name, tuple] = {}
@@ -107,6 +107,9 @@ class ForcingContext:
     # -- names ----------------------------------------------------------------
 
     def require_valid(self, name: Name) -> None:
+        """Raise InputError unless name keeps the nested-condition discipline.
+        Every name inside a valid name is valid too (the walk checked each
+        under a stricter bound), so they are all recorded."""
         if name in self._validated:
             return
         ok, violation = validate_name(name, self.poset)
@@ -116,29 +119,10 @@ class ForcingContext:
                 f"name violates the nested-condition discipline at {cond!r} (path {path})"
             )
         self._validated.add(name)
+        self._validated |= hereditary_names(name)
 
     def interp(self, name: Name, fidx: int) -> HF:
-        key = (name, fidx)
-        hit = self._interp.get(key)
-        if hit is not None:
-            return hit
-        members = self.filter_masks[fidx]
-        index = self.poset.index
-        memo = self._interp
-        stack = [name]
-        while stack:
-            cur = stack[-1]
-            if (cur, fidx) in memo:
-                stack.pop()
-                continue
-            live = [c for c, cond in cur.entries if members >> index[cond] & 1]
-            pending = [c for c in live if (c, fidx) not in memo]
-            if pending:
-                stack.extend(pending)
-            else:
-                memo[(cur, fidx)] = frozenset(memo[(c, fidx)] for c in live)
-                stack.pop()
-        return memo[key]
+        return _interpret(name, self.filter_masks[fidx], self.poset.index, self._interp[fidx])
 
     # -- atomic forcing sets ---------------------------------------------------
 
@@ -248,9 +232,8 @@ class ForcingContext:
     def _resolve(self, term: Term, env: Mapping[str, Name], binds: dict[str, Name]) -> Name:
         if isinstance(term, Check):
             return check_name(term.value, self.poset)
-        if term in binds:
-            return binds[term]
-        name = env[term]  # the node's key has checked that it resolves
+        # the node's key has checked that the term resolves
+        name = binds[term] if term in binds else env[term]
         self.require_valid(name)
         return name
 

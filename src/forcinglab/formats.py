@@ -13,7 +13,7 @@ import re
 from typing import Mapping
 
 from .errors import InputError
-from .names import HF, Name, check_name, generic_name
+from .names import Name, check_name, constant_value, generic_name
 from .poset import ConditionFamily, Poset, make_family
 from .ramsey import ClopenPredicate, FinFamily, LevelColoring
 from .sexpr import SAtom, SList, SNode, SSet, print_hf, read_all
@@ -194,22 +194,10 @@ def parse_names(text: str, P: Poset) -> dict[str, Name]:
     return out
 
 
-def _hf_of_name(n: Name, P: Poset) -> HF | None:
-    values = set()
-    for child, cond in n.entries:
-        if cond != P.top:
-            return None
-        v = _hf_of_name(child, P)
-        if v is None:
-            return None
-        values.add(v)
-    return frozenset(values)
-
-
 def print_name(n: Name, P: Poset) -> str:
     """Canonical form: constant names print as (check ...), the rest entry by
     entry with entries ordered by (condition, printed child)."""
-    as_hf = _hf_of_name(n, P)
+    as_hf = constant_value(n, P)
     if as_hf is not None:
         return f"(check {print_hf(as_hf)})"
     printed = sorted(

@@ -155,15 +155,6 @@ def unbound_symbols(f: Formula, env_names: set[str]) -> list[tuple[str, Span]]:
     return out
 
 
-def check_resolved(f: Formula, env_names: set[str]) -> None:
-    missing = unbound_symbols(f, env_names)
-    if missing:
-        listing = ", ".join(
-            sym + ("" if span is None else f" (at {span[0]}:{span[1]})") for sym, span in missing
-        )
-        raise InputError(f"unbound symbols: {listing}")
-
-
 _IDENT_OK = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.:+-")
 
 

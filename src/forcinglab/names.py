@@ -9,12 +9,20 @@ Condition identifiers are coded as hereditarily finite sets through the von
 Neumann naturals, with identifiers enumerated in lexicographic order; that
 coding is what lets the canonical name for the generic filter interpret back
 to the filter itself.
+
+Derived facts live with what they describe: a name keeps the set of names
+inside it in a slot, and a poset keeps its forcing context.  Three tables
+remain at module level, none holding a name strongly: ``_VN`` (the von
+Neumann naturals, plain HF sets, grown on demand and never freed),
+``_CHECK_CACHE`` (check names by value and top, weak in the name, so an entry
+goes when nothing else holds its name) and ``_GENERIC_CACHE`` (weak in the
+poset, so an entry goes with its poset).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
-from weakref import WeakKeyDictionary
+from typing import Iterable, Mapping, Optional, Union
+from weakref import WeakKeyDictionary, WeakValueDictionary
 
 from .errors import InputError
 from .poset import Filter, Poset
@@ -24,26 +32,21 @@ HF = frozenset
 _EMPTY_HF: HF = frozenset()
 
 
-_HF_RANK: dict[HF, int] = {}
-
-
 def hf_rank(x: HF) -> int:
-    hit = _HF_RANK.get(x)
-    if hit is not None:
-        return hit
+    memo: dict[HF, int] = {}
     stack = [x]
     while stack:
         cur = stack[-1]
-        if cur in _HF_RANK:
+        if cur in memo:
             stack.pop()
             continue
-        pending = [y for y in cur if y not in _HF_RANK]
+        pending = [y for y in cur if y not in memo]
         if pending:
             stack.extend(pending)
         else:
-            _HF_RANK[cur] = 1 + max((_HF_RANK[y] for y in cur), default=-1)
+            memo[cur] = 1 + max((memo[y] for y in cur), default=-1)
             stack.pop()
-    return _HF_RANK[x]
+    return memo[x]
 
 
 _VN: list[HF] = [_EMPTY_HF]
@@ -65,9 +68,11 @@ def von_neumann_value(x: HF) -> Optional[int]:
 
 
 class Name:
-    """A finite set of (child, condition) pairs, hashable and immutable."""
+    """A finite set of (child, condition) pairs, hashable and immutable.
 
-    __slots__ = ("entries", "rank", "_hash")
+    ``_inside`` is filled on first use by ``hereditary_names``."""
+
+    __slots__ = ("entries", "rank", "_hash", "_inside", "__weakref__")
 
     def __init__(self, entries: Iterable[tuple["Name", str]] = ()):
         es = frozenset(entries)
@@ -77,6 +82,7 @@ class Name:
         object.__setattr__(self, "entries", es)
         object.__setattr__(self, "rank", 0 if not es else 1 + max(c.rank for c, _ in es))
         object.__setattr__(self, "_hash", hash(es))
+        object.__setattr__(self, "_inside", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Name is immutable")
@@ -106,11 +112,12 @@ def rank(x: Union[Name, HF]) -> int:
     raise InputError(f"rank is defined on names and HF sets, not {type(x).__name__}")
 
 
-_CHECK_CACHE: dict[tuple[HF, str], Name] = {}
+_CHECK_CACHE: "WeakValueDictionary[tuple[HF, str], Name]" = WeakValueDictionary()
 
 
 def check_name(x: HF, P: Poset) -> Name:
-    """The constant name for x: every entry carries the greatest condition."""
+    """The constant name for x: every entry carries the greatest condition.
+    One object serves every poset with the same top while anything holds it."""
     key = (x, P.top)
     hit = _CHECK_CACHE.get(key)
     if hit is None:
@@ -144,60 +151,55 @@ def generic_name(P: Poset) -> Name:
     return hit
 
 
-_HEREDITARY_CACHE: dict[Name, frozenset[Name]] = {}
-
-
 def hereditary_names(n: Name) -> frozenset[Name]:
-    """All names occurring strictly inside n, at any depth."""
-    hit = _HEREDITARY_CACHE.get(n)
-    if hit is not None:
-        return hit
+    """All names occurring strictly inside n, at any depth; kept on n and on
+    every name inside it.  Two threads may both fill a slot, with equal sets."""
+    if n._inside is not None:
+        return n._inside
     stack = [n]
     while stack:
         cur = stack[-1]
-        if cur in _HEREDITARY_CACHE:
+        if cur._inside is not None:
             stack.pop()
             continue
-        pending = [c for c, _ in cur.entries if c not in _HEREDITARY_CACHE]
+        pending = [c for c, _ in cur.entries if c._inside is None]
         if pending:
             stack.extend(pending)
         else:
             acc: set[Name] = set()
             for child, _ in cur.entries:
                 acc.add(child)
-                acc |= _HEREDITARY_CACHE[child]
-            _HEREDITARY_CACHE[cur] = frozenset(acc)
+                acc |= child._inside
+            object.__setattr__(cur, "_inside", frozenset(acc))
             stack.pop()
-    return _HEREDITARY_CACHE[n]
+    return n._inside
 
 
-_CHECK_SHAPED: dict[tuple[Name, str], bool] = {}
-
-
-def is_check_shaped(n: Name, P: Poset) -> bool:
-    """True when every condition hereditarily inside n is the greatest one."""
-    top = P.top
-    key = (n, top)
-    hit = _CHECK_SHAPED.get(key)
-    if hit is not None:
-        return hit
+def _constant_value(n: Name, top: str, memo: dict[Name, Optional[HF]]) -> Optional[HF]:
     stack = [n]
     while stack:
         cur = stack[-1]
-        if (cur, top) in _CHECK_SHAPED:
+        if cur in memo:
             stack.pop()
             continue
         if any(cond != top for _, cond in cur.entries):
-            _CHECK_SHAPED[(cur, top)] = False
+            memo[cur] = None
             stack.pop()
             continue
-        pending = [c for c, _ in cur.entries if (c, top) not in _CHECK_SHAPED]
+        pending = [c for c, _ in cur.entries if c not in memo]
         if pending:
             stack.extend(pending)
         else:
-            _CHECK_SHAPED[(cur, top)] = all(_CHECK_SHAPED[(c, top)] for c, _ in cur.entries)
+            values = [memo[c] for c, _ in cur.entries]
+            memo[cur] = None if any(v is None for v in values) else frozenset(values)
             stack.pop()
-    return _CHECK_SHAPED[key]
+    return memo[n]
+
+
+def constant_value(n: Name, P: Poset) -> Optional[HF]:
+    """The HF set n names when every condition hereditarily inside n is the
+    greatest one (so n interprets to it under every filter), else None."""
+    return _constant_value(n, P.top, {})
 
 
 def validate_name(n: Name, P: Poset) -> tuple[bool, Optional[tuple[tuple[str, ...], str]]]:
@@ -215,6 +217,7 @@ def validate_name(n: Name, P: Poset) -> tuple[bool, Optional[tuple[tuple[str, ..
         return (entry[1], entry[0].rank, id(entry[0]))
 
     ok_memo: set[tuple[Name, Optional[str]]] = set()
+    constants: dict[Name, Optional[HF]] = {}
 
     def walk(name: Name, bound: Optional[str], path: tuple[str, ...]):
         if (name, bound) in ok_memo:
@@ -223,7 +226,7 @@ def validate_name(n: Name, P: Poset) -> tuple[bool, Optional[tuple[tuple[str, ..
             P.check_condition(cond)
             here = path + (cond,)
             if bound is not None and not P.leq(cond, bound):
-                if not (cond == P.top and is_check_shaped(child, P)):
+                if not (cond == P.top and _constant_value(child, P.top, constants) is not None):
                     return here
             bad = walk(child, cond, here)
             if bad is not None:
@@ -237,17 +240,19 @@ def validate_name(n: Name, P: Poset) -> tuple[bool, Optional[tuple[tuple[str, ..
     return False, (violation[:-1], violation[-1])
 
 
-def interpret(n: Name, G: Filter) -> HF:
-    """Evaluate the name under the filter, extensionally."""
-    members = G.members
-    memo: dict[Name, HF] = {}
+def _interpret(n: Name, members: int, index: Mapping[str, int], memo: dict[Name, HF]) -> HF:
+    """Post-order walk keeping the children whose condition's bit is set in
+    members; memo holds values under this one filter."""
+    hit = memo.get(n)
+    if hit is not None:
+        return hit
     stack = [n]
     while stack:
         cur = stack[-1]
         if cur in memo:
             stack.pop()
             continue
-        live = [child for child, cond in cur.entries if cond in members]
+        live = [c for c, cond in cur.entries if members >> index[cond] & 1]
         pending = [c for c in live if c not in memo]
         if pending:
             stack.extend(pending)
@@ -255,3 +260,11 @@ def interpret(n: Name, G: Filter) -> HF:
             memo[cur] = frozenset(memo[c] for c in live)
             stack.pop()
     return memo[n]
+
+
+def interpret(n: Name, G: Filter) -> HF:
+    """Evaluate the name under the filter, extensionally."""
+    try:
+        return _interpret(n, G.mask(), G.poset.index, {})
+    except KeyError as exc:
+        raise InputError(f"unknown condition {exc.args[0]!r} in a name") from None

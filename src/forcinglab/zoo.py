@@ -43,16 +43,6 @@ def cohen_id(assignment: dict[tuple[int, int], int]) -> str:
     return "_".join(parts)
 
 
-def cohen_decode(cid: str) -> dict[tuple[int, int], int]:
-    if cid == "-":
-        return {}
-    out = {}
-    for part in cid.split("_"):
-        i, n, v = part.split(".")
-        out[(int(i), int(n))] = int(v)
-    return out
-
-
 def cohen(i_size: int, depth: int) -> tuple[Poset, dict[str, ConditionFamily]]:
     """All partial {0,1}-assignments on an i_size x depth grid, q <= p iff q extends p.
 
@@ -191,10 +181,6 @@ def amoeba(k: int, eps: Fraction) -> Poset:
 
 def collapse_id(seq: tuple[int, ...]) -> str:
     return "-" if not seq else ".".join(str(x) for x in seq)
-
-
-def collapse_decode(cid: str) -> tuple[int, ...]:
-    return () if cid == "-" else tuple(int(x) for x in cid.split("."))
 
 
 def collapse(x_size: int, length: int) -> tuple[Poset, dict[str, ConditionFamily]]:

@@ -30,7 +30,7 @@ from forcinglab import (
 )
 from forcinglab.forcing import ForcingContext, context_for
 from forcinglab.formulas import And, Check, Eq, ExistsIn, ForallIn, Imp, Mem, Not, Or
-from forcinglab.names import condition_codes
+from forcinglab.names import condition_codes, hereditary_names
 from forcinglab.poset import Poset
 
 HF0 = frozenset()
@@ -99,6 +99,44 @@ def test_forces_unvalidated_name_errors(P, env):
     bad = Name([(Name([(check_name(HF0, P), "0.0.1")]), "0.0.0")])
     with pytest.raises(InputError):
         forces(P, P.top, Eq("bad", "e"), {**env, "bad": bad})
+
+
+def test_binds_names_are_validated(P, env):
+    # a name passed in binds is checked like one in env, and a failed call
+    # leaves no entry for a later env lookup of the same name to find
+    bad = Name([(Name([(check_name(HF0, P), "0.0.1")]), "0.0.0")])
+    ctx = ForcingContext(P)
+    f = Eq("bad", "e")
+    with pytest.raises(InputError):
+        ctx.forces_set(f, {"e": env["e"]}, {"bad": bad})
+    with pytest.raises(InputError):
+        ctx.forces_set(f, {"e": env["e"], "bad": bad})
+    with pytest.raises(InputError):
+        ctx.oracle_mask(f, {"e": env["e"]}, {"bad": bad})
+
+
+def test_names_inside_a_valid_name_are_recorded_valid(P, env):
+    ctx = ForcingContext(P)
+    w = Name([(env["y"], "0.0.0"), (env["gen"], P.top)])
+    ctx.require_valid(w)
+    assert {w} | hereditary_names(w) <= ctx._validated
+
+
+def test_names_do_not_outlive_their_posets():
+    tops = {f"life-top-{i}" for i in range(50)}
+    f = Mem(Check(HF1), "gen")
+    for top in sorted(tops):
+        Q = Poset(top, ["a", "b", top], top, [("a", top), ("b", top)])
+        env = {"gen": generic_name(Q)}
+        assert forces_set(Q, f, env) == oracle_set(Q, f, env)
+    del Q, env
+    gc.collect()
+    left = [
+        obj
+        for obj in gc.get_objects()
+        if isinstance(obj, Name) and any(cond in tops for _, cond in obj.entries)
+    ]
+    assert len(left) == 0
 
 
 def test_negation_clause(P, env):

@@ -13,8 +13,11 @@ from forcinglab import (
     validate_name,
     von_neumann,
 )
+from forcinglab.forcing import context_for
+from forcinglab.formats import print_name
 from forcinglab.names import (
     condition_codes,
+    constant_value,
     decode_condition,
     hereditary_names,
     von_neumann_value,
@@ -147,6 +150,33 @@ def test_interpret_is_extensional(P):
     doubled = Name([(e, "-"), (e, "0.0.0")])
     F = Filter(P, frozenset({"-", "0.0.0"}))
     assert interpret(doubled, F) == HF1  # duplicates collapse
+
+
+def test_interpret_matches_context_interp(small_corpus):
+    from helpers import canonical_env
+
+    for Q in small_corpus:
+        ctx = context_for(Q)
+        for n in canonical_env(Q).values():
+            for fidx, mask in enumerate(ctx.filter_masks):
+                assert interpret(n, Filter(Q, frozenset(Q.ids_of(mask)))) == ctx.interp(n, fidx)
+
+
+def test_interpret_unknown_condition(P):
+    F = Filter(P, frozenset({"-", "0.0.0"}))
+    with pytest.raises(InputError):
+        interpret(Name([(check_name(HF0, P), "nope")]), F)
+
+
+def test_constant_value(P):
+    assert constant_value(Name(), P) == HF0
+    assert constant_value(check_name(HF2, P), P) == HF2
+    # the only non-top condition sits two levels below the outer entries
+    inner = Name([(check_name(HF0, P), "0.0.0")])
+    outer = Name([(Name([(inner, P.top)]), P.top), (check_name(HF1, P), P.top)])
+    assert constant_value(outer, P) is None
+    assert constant_value(Name([(check_name(HF1, P), P.top)]), P) == frozenset([HF1])
+    assert not print_name(outer, P).startswith("(check")
 
 
 def test_hereditary_names(P):
