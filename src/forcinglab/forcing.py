@@ -48,7 +48,9 @@ class ForcingContext:
 
     A formula's entry is keyed on the formula and the names its free
     variables denote, so equal environments share entries whatever mapping
-    object carries them, and an environment may change between calls.  Every
+    object carries them, and an environment may change between calls.  The
+    names in a key are validated before its entry is computed, even those no
+    quantifier entry reaches, so no entry is stored for an invalid name.  Every
     memo entry is a function of its key alone, so two writes of one key store
     the same value.  On CPython with the global interpreter lock, threads
     sharing one context get the answers a single thread gets
@@ -232,10 +234,8 @@ class ForcingContext:
     def _resolve(self, term: Term, env: Mapping[str, Name], binds: dict[str, Name]) -> Name:
         if isinstance(term, Check):
             return check_name(term.value, self.poset)
-        # the node's key has checked that the term resolves
-        name = binds[term] if term in binds else env[term]
-        self.require_valid(name)
-        return name
+        # the node's key has resolved the term and its name was validated
+        return binds[term] if term in binds else env[term]
 
     def forces_set(self, f: Formula, env: Mapping[str, Name], binds: Optional[dict[str, Name]] = None) -> int:
         binds = binds or {}
@@ -243,6 +243,8 @@ class ForcingContext:
         hit = self._forces.get(key)
         if hit is not None:
             return hit
+        for name in key[1]:
+            self.require_valid(name)
         down = self.down
         index = self.poset.index
         if isinstance(f, Mem):
@@ -288,6 +290,8 @@ class ForcingContext:
         hit = self._oracle.get(key)
         if hit is not None:
             return hit
+        for name in key[1]:
+            self.require_valid(name)
         index = self.poset.index
         if isinstance(f, (Mem, Eq)):
             ln = self._resolve(f.left, env, binds)

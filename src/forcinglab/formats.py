@@ -9,20 +9,17 @@ output so identical inputs always produce identical bytes.
 
 from __future__ import annotations
 
-import re
 from typing import Mapping
 
 from .errors import InputError
 from .names import Name, check_name, constant_value, generic_name
 from .poset import ConditionFamily, Poset, make_family
 from .ramsey import ClopenPredicate, FinFamily, LevelColoring
-from .sexpr import SAtom, SList, SNode, SSet, print_hf, read_all
-
-_IDENT = re.compile(r"[A-Za-z0-9_.:+-]+\Z")
+from .sexpr import IDENT, SAtom, SList, SNode, SSet, print_hf, read_all
 
 
 def _check_ident(token: str, lineno: int) -> str:
-    if not _IDENT.match(token):
+    if not IDENT.fullmatch(token):
         raise InputError(f"line {lineno}: bad identifier {token!r}")
     return token
 

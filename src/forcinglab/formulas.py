@@ -22,7 +22,7 @@ from dataclasses import fields as dataclass_fields
 from typing import Optional, Union
 
 from .errors import InputError
-from .sexpr import SAtom, SList, SNode, SSet, print_hf, read_one
+from .sexpr import IDENT, SAtom, SList, SNode, SSet, print_hf, read_one
 
 Span = Optional[tuple[int, int]]
 
@@ -155,13 +155,10 @@ def unbound_symbols(f: Formula, env_names: set[str]) -> list[tuple[str, Span]]:
     return out
 
 
-_IDENT_OK = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.:+-")
-
-
 def _atom_text(node: SNode, what: str) -> str:
     if not isinstance(node, SAtom):
         raise InputError(f"{node.line}:{node.col}: expected {what}")
-    if not set(node.text) <= _IDENT_OK:
+    if not IDENT.fullmatch(node.text):
         raise InputError(f"{node.line}:{node.col}: bad identifier {node.text!r}")
     return node.text
 

@@ -3,16 +3,27 @@
 Produces lists, symbols, and hereditarily-finite-set literals (``#{...}``),
 each tagged with the line/column where it started.  Comments run from ``;``
 to end of line.
+
+One compiled regex splits the text into tokens: a run of space and comments,
+``(``, ``)``, ``#{``, ``}``, an atom (a run of characters that are none of
+space, ``();}`` and ``#``), or a ``#`` not followed by ``{``.  A single loop
+over the tokens keeps an explicit stack of open lists and set literals, so
+nesting depth is bounded by memory, not by the recursion limit.  Only space
+tokens can hold a newline, so the line and column are counted from those.
+Errors carry ``line:col``; an unclosed ``(`` or ``#{`` is reported at its
+opener.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
 from .errors import InputError
 
-Span = tuple[int, int]
+# The identifier charset of both the formula grammar and the line formats.
+IDENT = re.compile(r"[A-Za-z0-9_.:+-]+")
 
 
 @dataclass(frozen=True)
@@ -38,116 +49,66 @@ class SSet:
 
 SNode = Union[SAtom, SList, SSet]
 
-_DELIMS = "();}"
+_TOKEN = re.compile(
+    r"(?P<space>(?:\s|;[^\n]*)+)|(?P<open>\()|(?P<close>\))|(?P<set>\#\{)|(?P<end>\})"
+    r"|(?P<atom>[^\s();}\#]+)|(?P<hash>\#)"
+)
 
 
-class _Reader:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def error(self, message: str) -> InputError:
-        return InputError(f"{self.line}:{self.col}: {message}")
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def advance(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
+def _read(text: str, one: bool) -> list[SNode]:
+    """The top-level nodes of text; with one, exactly one node."""
+    out: list[SNode] = []
+    stack: list[tuple[type, list, int, int]] = []  # open frames: node class, items, opener line, col
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
+            newlines = m.group().count("\n")
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", 0, m.end()) + 1
+            continue
+        col = m.start() - line_start + 1
+        if one and out:
+            raise InputError(f"{line}:{col}: trailing input after expression")
+        if kind == "hash":
+            raise InputError(f"{line}:{col + 1}: expected '{{' after '#'")
+        if kind == "set":
+            stack.append((SSet, [], line, col))
+            continue
+        if stack and stack[-1][0] is SSet:
+            if kind != "end":
+                raise InputError(f"{line}:{col}: HF literals contain only nested HF literals")
+            _, elems, l0, c0 = stack.pop()
+            node = SSet(frozenset(e.value for e in elems), l0, c0)
+        elif kind == "open":
+            stack.append((SList, [], line, col))
+            continue
+        elif kind == "close":
+            if not stack:
+                raise InputError(f"{line}:{col}: unbalanced ')'")
+            _, items, l0, c0 = stack.pop()
+            node = SList(tuple(items), l0, c0)
+        elif kind == "end":
+            raise InputError(f"{line}:{col}: unbalanced '}}'")
         else:
-            self.col += 1
-        return ch
-
-    def skip_space(self):
-        while self.pos < len(self.text):
-            ch = self.peek()
-            if ch == ";":
-                while self.pos < len(self.text) and self.peek() != "\n":
-                    self.advance()
-            elif ch.isspace():
-                self.advance()
-            else:
-                return
-
-    def read(self) -> SNode:
-        self.skip_space()
-        if self.pos >= len(self.text):
-            raise self.error("unexpected end of input")
-        line, col = self.line, self.col
-        ch = self.peek()
-        if ch == "(":
-            self.advance()
-            items = []
-            while True:
-                self.skip_space()
-                if self.pos >= len(self.text):
-                    raise InputError(f"{line}:{col}: unclosed '('")
-                if self.peek() == ")":
-                    self.advance()
-                    return SList(tuple(items), line, col)
-                items.append(self.read())
-        if ch == ")":
-            raise self.error("unbalanced ')'")
-        if ch == "#":
-            return self.read_set()
-        if ch == "}":
-            raise self.error("unbalanced '}'")
-        return self.read_atom()
-
-    def read_set(self) -> SSet:
-        line, col = self.line, self.col
-        self.advance()
-        if self.peek() != "{":
-            raise self.error("expected '{' after '#'")
-        self.advance()
-        elems = []
-        while True:
-            self.skip_space()
-            if self.pos >= len(self.text):
-                raise InputError(f"{line}:{col}: unclosed '#{{'")
-            if self.peek() == "}":
-                self.advance()
-                return SSet(frozenset(e.value for e in elems), line, col)
-            if self.peek() != "#":
-                raise self.error("HF literals contain only nested HF literals")
-            elems.append(self.read_set())
-
-    def read_atom(self) -> SAtom:
-        line, col = self.line, self.col
-        chars = []
-        while self.pos < len(self.text):
-            ch = self.peek()
-            if ch.isspace() or ch in _DELIMS or ch == "#":
-                break
-            chars.append(self.advance())
-        if not chars:
-            raise self.error(f"unexpected character {self.peek()!r}")
-        return SAtom("".join(chars), line, col)
+            node = SAtom(m.group(), line, col)
+        (stack[-1][1] if stack else out).append(node)
+    if stack:
+        cls, _, l0, c0 = stack[-1]
+        opener = "(" if cls is SList else "#{"
+        raise InputError(f"{l0}:{c0}: unclosed '{opener}'")
+    if one and not out:
+        raise InputError(f"{line}:{len(text) - line_start + 1}: unexpected end of input")
+    return out
 
 
 def read_one(text: str) -> SNode:
-    reader = _Reader(text)
-    node = reader.read()
-    reader.skip_space()
-    if reader.pos < len(reader.text):
-        raise reader.error("trailing input after expression")
-    return node
+    return _read(text, True)[0]
 
 
 def read_all(text: str) -> list[SNode]:
-    reader = _Reader(text)
-    out = []
-    while True:
-        reader.skip_space()
-        if reader.pos >= len(reader.text):
-            return out
-        out.append(reader.read())
+    return _read(text, False)
 
 
 def print_hf(x: frozenset) -> str:

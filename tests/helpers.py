@@ -14,6 +14,7 @@ import itertools
 from functools import lru_cache
 
 from forcinglab import Poset
+from forcinglab.errors import InputError
 from forcinglab.formulas import And, Eq, ExistsIn, ForallIn, Imp, Mem, Not, Or
 from forcinglab.names import Name, check_name, generic_name
 from forcinglab.ramsey import (
@@ -25,6 +26,7 @@ from forcinglab.ramsey import (
     HlRow,
     HlWitness,
 )
+from forcinglab.sexpr import SAtom, SList, SSet
 
 # ---------------------------------------------------------------------------
 # labeled posets
@@ -476,3 +478,121 @@ def gnw_construct_reference(F, s, h, ground=None):
     if all(not mem <= H for mem in F.members):
         return GnwConstructResult(H, "a", True, tuple(transcript))
     return GnwConstructResult(H, None, False, tuple(transcript))
+
+
+# ---------------------------------------------------------------------------
+# s-expressions
+# ---------------------------------------------------------------------------
+
+
+class _ReferenceReader:
+    """The s-expression reader as a character-at-a-time recursive descent.
+    ``sexpr.read_one`` and ``read_all`` must return the same nodes, with the
+    same positions, and raise the same messages."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.line = 1
+        self.col = 1
+
+    def error(self, message: str) -> InputError:
+        return InputError(f"{self.line}:{self.col}: {message}")
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def advance(self) -> str:
+        ch = self.text[self.pos]
+        self.pos += 1
+        if ch == "\n":
+            self.line += 1
+            self.col = 1
+        else:
+            self.col += 1
+        return ch
+
+    def skip_space(self):
+        while self.pos < len(self.text):
+            ch = self.peek()
+            if ch == ";":
+                while self.pos < len(self.text) and self.peek() != "\n":
+                    self.advance()
+            elif ch.isspace():
+                self.advance()
+            else:
+                return
+
+    def read(self):
+        self.skip_space()
+        if self.pos >= len(self.text):
+            raise self.error("unexpected end of input")
+        line, col = self.line, self.col
+        ch = self.peek()
+        if ch == "(":
+            self.advance()
+            items = []
+            while True:
+                self.skip_space()
+                if self.pos >= len(self.text):
+                    raise InputError(f"{line}:{col}: unclosed '('")
+                if self.peek() == ")":
+                    self.advance()
+                    return SList(tuple(items), line, col)
+                items.append(self.read())
+        if ch == ")":
+            raise self.error("unbalanced ')'")
+        if ch == "#":
+            return self.read_set()
+        if ch == "}":
+            raise self.error("unbalanced '}'")
+        return self.read_atom()
+
+    def read_set(self):
+        line, col = self.line, self.col
+        self.advance()
+        if self.peek() != "{":
+            raise self.error("expected '{' after '#'")
+        self.advance()
+        elems = []
+        while True:
+            self.skip_space()
+            if self.pos >= len(self.text):
+                raise InputError(f"{line}:{col}: unclosed '#{{'")
+            if self.peek() == "}":
+                self.advance()
+                return SSet(frozenset(e.value for e in elems), line, col)
+            if self.peek() != "#":
+                raise self.error("HF literals contain only nested HF literals")
+            elems.append(self.read_set())
+
+    def read_atom(self):
+        line, col = self.line, self.col
+        chars = []
+        while self.pos < len(self.text):
+            ch = self.peek()
+            if ch.isspace() or ch in "();}" or ch == "#":
+                break
+            chars.append(self.advance())
+        if not chars:
+            raise self.error(f"unexpected character {self.peek()!r}")
+        return SAtom("".join(chars), line, col)
+
+
+def read_one_reference(text: str):
+    reader = _ReferenceReader(text)
+    node = reader.read()
+    reader.skip_space()
+    if reader.pos < len(reader.text):
+        raise reader.error("trailing input after expression")
+    return node
+
+
+def read_all_reference(text: str) -> list:
+    reader = _ReferenceReader(text)
+    out = []
+    while True:
+        reader.skip_space()
+        if reader.pos >= len(reader.text):
+            return out
+        out.append(reader.read())

@@ -115,6 +115,16 @@ def test_binds_names_are_validated(P, env):
         ctx.oracle_mask(f, {"e": env["e"]}, {"bad": bad})
 
 
+@pytest.mark.parametrize("quantifier", [ForallIn, ExistsIn])
+@pytest.mark.parametrize("route", ["forces_set", "oracle_mask"])
+def test_names_behind_an_empty_bound_are_validated(P, quantifier, route):
+    # no entry of the bound ever reaches the body, yet the name is in the key
+    bad = Name([(Name([(check_name(HF0, P), "0.0.1")]), "0.0.0")])
+    f = quantifier("x", "e", Mem("bad", "x"))
+    with pytest.raises(InputError):
+        getattr(ForcingContext(P), route)(f, {"e": Name(), "bad": bad})
+
+
 def test_names_inside_a_valid_name_are_recorded_valid(P, env):
     ctx = ForcingContext(P)
     w = Name([(env["y"], "0.0.0"), (env["gen"], P.top)])
