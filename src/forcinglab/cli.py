@@ -83,8 +83,7 @@ def _parse_checked(text: str, ws: Workspace) -> Formula:
     f = parse_formula(text)
     missing = unbound_symbols(f, set(ws.names))
     if missing:
-        listing = ", ".join(sorted({sym for sym, _ in missing}))
-        raise InputError(f"unbound symbols: {listing}")
+        raise InputError(f"unbound symbols: {', '.join(missing)}")
     return f
 
 

@@ -84,7 +84,6 @@ class ForcingContext:
         self._forces: dict[tuple, int] = {}
         self._oracle: dict[tuple, int] = {}
         self._interp: list[dict[Name, HF]] = [{} for _ in range(self.nf)]
-        self._free: dict[Formula, tuple[str, ...]] = {}
         self._validated: set[Name] = set()
         self._entry_order: dict[Name, tuple] = {}
 
@@ -204,32 +203,15 @@ class ForcingContext:
 
     # -- formula forcing sets ----------------------------------------------
 
-    def _free_vars(self, f: Formula) -> tuple[str, ...]:
-        """The free variables of f, sorted; computed once per formula."""
-        hit = self._free.get(f)
-        if hit is None:
-            if isinstance(f, (Mem, Eq)):
-                found = {t for t in (f.left, f.right) if isinstance(t, str)}
-            elif isinstance(f, Not):
-                found = set(self._free_vars(f.sub))
-            elif isinstance(f, (And, Or, Imp)):
-                found = {*self._free_vars(f.left), *self._free_vars(f.right)}
-            elif isinstance(f, (ForallIn, ExistsIn)):
-                found = set(self._free_vars(f.body)) - {f.var}
-                if isinstance(f.bound, str):
-                    found.add(f.bound)
-            else:
-                raise InputError(f"not a formula node: {f!r}")
-            hit = self._free[f] = tuple(sorted(found))
-        return hit
-
     def _key(self, f: Formula, env: Mapping[str, Name], binds: dict[str, Name]) -> tuple:
         """f with the names its free variables denote, in sorted order; a
         variable resolves through binds first, then env."""
         try:
-            return (f, tuple([binds[v] if v in binds else env[v] for v in self._free_vars(f)]))
+            return (f, tuple([binds[v] if v in binds else env[v] for v in f.free]))
         except KeyError as exc:
             raise InputError(f"unbound symbol {exc.args[0]!r}") from None
+        except AttributeError:
+            raise InputError(f"not a formula node: {f!r}") from None
 
     def _resolve(self, term: Term, env: Mapping[str, Name], binds: dict[str, Name]) -> Name:
         if isinstance(term, Check):

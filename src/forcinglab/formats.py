@@ -186,8 +186,10 @@ def parse_names(text: str, P: Poset) -> dict[str, Name]:
             line = getattr(node, "line", "?")
             col = getattr(node, "col", "?")
             raise InputError(f"{line}:{col}: expected (def <id> <name-expr>)")
-        ident = node.items[1].text
-        out[ident] = name_from_sexpr(node.items[2], P, out)
+        ident = node.items[1]
+        if not IDENT.fullmatch(ident.text):
+            raise InputError(f"{ident.line}:{ident.col}: bad identifier {ident.text!r}")
+        out[ident.text] = name_from_sexpr(node.items[2], P, out)
     return out
 
 

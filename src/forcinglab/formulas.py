@@ -3,9 +3,9 @@
 Atoms assert membership or equality between terms; a term is an identifier
 symbol resolving either to a quantifier-bound variable or to a name in the
 ambient environment, or an inline ``(check #{...})`` constant.  Quantifiers
-range over the entries of a name (``forall v in w``, ``exists v in w``), so
-every variable occurrence must be bound.  Implication is kept in the syntax
-tree and evaluated as the negated conjunction form.
+range over the entries of a name (``forall v in w``, ``exists v in w``).
+Implication is kept in the syntax tree and evaluated as the negated
+conjunction form.
 
 The concrete grammar is s-expression based::
 
@@ -13,18 +13,22 @@ The concrete grammar is s-expression based::
     | (forall v in t f) | (exists v in t f)
 
 with ``(ingen t)`` accepted as sugar for ``(mem t gen)``.
+
+Nodes are interned (hash-consed) in a weak table under a lock: building a
+node equal to a live one returns that object, so ``==`` is identity, and a
+node's hash and sorted free variables (``free``) are set once, from its
+children's.  Parsing and printing use explicit stacks, not recursion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from dataclasses import fields as dataclass_fields
-from typing import Optional, Union
+import threading
+import weakref
+from dataclasses import dataclass
+from typing import Union
 
 from .errors import InputError
 from .sexpr import IDENT, SAtom, SList, SNode, SSet, print_hf, read_one
-
-Span = Optional[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -36,123 +40,123 @@ class Check:
 
 Term = Union[str, Check]
 
-
-@dataclass(frozen=True)
-class Mem:
-    left: Term
-    right: Term
-    span: Span = field(default=None, compare=False)
+_NODES: "weakref.WeakValueDictionary[tuple, Formula]" = weakref.WeakValueDictionary()
+_NODES_LOCK = threading.Lock()
+_FORMS: dict[str, type] = {}  # head -> node class
 
 
-@dataclass(frozen=True)
-class Eq:
-    left: Term
-    right: Term
-    span: Span = field(default=None, compare=False)
+def _formula(x) -> "Formula":
+    if not isinstance(x, Formula):
+        raise InputError(f"not a formula node: {x!r}")
+    return x
 
 
-@dataclass(frozen=True)
-class Not:
-    sub: "Formula"
-    span: Span = field(default=None, compare=False)
+class Formula:
+    """A formula node.  Subclasses name their constructor's arguments in
+    ``_fields`` and their head in the class statement (``head="mem"``)."""
+
+    __slots__ = ("free", "_hash", "__weakref__")
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, head: str = "", **kwargs):
+        super().__init_subclass__(**kwargs)
+        if head:
+            cls._head = head
+            _FORMS[head] = cls
+
+    def __new__(cls, *args):
+        key = (cls, *args)
+        with _NODES_LOCK:
+            node = _NODES.get(key)
+            if node is None:
+                node = object.__new__(cls)
+                object.__setattr__(node, "free", cls._free_of(*args))
+                for name, value in zip(cls._fields, args):
+                    object.__setattr__(node, name, value)
+                object.__setattr__(node, "_hash", hash((cls.__name__, *args)))
+                _NODES[key] = node
+        return node
+
+    def __hash__(self):
+        return self._hash
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        return print_formula(self)
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
-    span: Span = field(default=None, compare=False)
+class _Atom(Formula):
+    __slots__ = _fields = ("left", "right")
+
+    @staticmethod
+    def _free_of(left: Term, right: Term) -> tuple[str, ...]:
+        return tuple(sorted({t for t in (left, right) if isinstance(t, str)}))
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
-    span: Span = field(default=None, compare=False)
+class _Binary(Formula):
+    __slots__ = _fields = ("left", "right")
+
+    @staticmethod
+    def _free_of(left: Formula, right: Formula) -> tuple[str, ...]:
+        a, b = _formula(left).free, _formula(right).free
+        return a if a == b else tuple(sorted({*a, *b}))
 
 
-@dataclass(frozen=True)
-class Imp:
-    left: "Formula"
-    right: "Formula"
-    span: Span = field(default=None, compare=False)
+class _Quantifier(Formula):
+    __slots__ = _fields = ("var", "bound", "body")
+
+    @staticmethod
+    def _free_of(var: str, bound: Term, body: Formula) -> tuple[str, ...]:
+        free = {*_formula(body).free} - {var}
+        return tuple(sorted(free | {bound} if isinstance(bound, str) else free))
 
 
-@dataclass(frozen=True)
-class ForallIn:
-    var: str
-    bound: Term
-    body: "Formula"
-    span: Span = field(default=None, compare=False)
+class Mem(_Atom, head="mem"):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ExistsIn:
-    var: str
-    bound: Term
-    body: "Formula"
-    span: Span = field(default=None, compare=False)
+class Eq(_Atom, head="eq"):
+    __slots__ = ()
 
 
-Formula = Union[Mem, Eq, Not, And, Or, Imp, ForallIn, ExistsIn]
+class Not(Formula, head="not"):
+    __slots__ = _fields = ("sub",)
 
-ATOMS = (Mem, Eq)
-BINARY = {"and": And, "or": Or, "imp": Imp}
-
-
-def _node_hash(self):
-    # formula trees are hashed constantly as memo keys; cache per node
-    try:
-        return object.__getattribute__(self, "_hashcache")
-    except AttributeError:
-        parts = tuple(
-            getattr(self, f.name) for f in dataclass_fields(self) if f.compare
-        )
-        h = hash((type(self).__name__, parts))
-        object.__setattr__(self, "_hashcache", h)
-        return h
+    @staticmethod
+    def _free_of(sub: Formula) -> tuple[str, ...]:
+        return _formula(sub).free
 
 
-for _cls in (Check, Mem, Eq, Not, And, Or, Imp, ForallIn, ExistsIn):
-    _cls.__hash__ = _node_hash
+class And(_Binary, head="and"):
+    __slots__ = ()
 
 
-def depth(f: Formula) -> int:
-    """Height of the syntax tree, atoms counting 1."""
-    if isinstance(f, ATOMS):
-        return 1
-    if isinstance(f, Not):
-        return 1 + depth(f.sub)
-    if isinstance(f, (And, Or, Imp)):
-        return 1 + max(depth(f.left), depth(f.right))
-    return 1 + depth(f.body)
+class Or(_Binary, head="or"):
+    __slots__ = ()
 
 
-def unbound_symbols(f: Formula, env_names: set[str]) -> list[tuple[str, Span]]:
-    """Every term occurrence that neither a quantifier nor the environment binds."""
-    out: list[tuple[str, Span]] = []
+class Imp(_Binary, head="imp"):
+    __slots__ = ()
 
-    def term(sym: Term, bound: frozenset[str], span: Span):
-        if isinstance(sym, Check):
-            return
-        if sym not in bound and sym not in env_names:
-            out.append((sym, span))
 
-    def walk(g: Formula, bound: frozenset[str]):
-        if isinstance(g, ATOMS):
-            term(g.left, bound, g.span)
-            term(g.right, bound, g.span)
-        elif isinstance(g, Not):
-            walk(g.sub, bound)
-        elif isinstance(g, (And, Or, Imp)):
-            walk(g.left, bound)
-            walk(g.right, bound)
-        else:
-            term(g.bound, bound, g.span)
-            walk(g.body, bound | {g.var})
+class ForallIn(_Quantifier, head="forall"):
+    __slots__ = ()
 
-    walk(f, frozenset())
-    return out
+
+class ExistsIn(_Quantifier, head="exists"):
+    __slots__ = ()
+
+
+def unbound_symbols(f: Formula, env_names: set[str]) -> list[str]:
+    """The free variables of f that the environment does not bind, sorted."""
+    return [v for v in f.free if v not in env_names]
 
 
 def _atom_text(node: SNode, what: str) -> str:
@@ -163,7 +167,7 @@ def _atom_text(node: SNode, what: str) -> str:
     return node.text
 
 
-def _term(node: SNode, what: str) -> Term:
+def _term(node: SNode) -> Term:
     if (
         isinstance(node, SList)
         and len(node.items) == 2
@@ -172,44 +176,46 @@ def _term(node: SNode, what: str) -> Term:
         and isinstance(node.items[1], SSet)
     ):
         return Check(node.items[1].value)
-    return _atom_text(node, what)
+    return _atom_text(node, "a term")
 
 
 def formula_from_sexpr(node: SNode) -> Formula:
-    if isinstance(node, (SAtom, SSet)):
-        raise InputError(f"{node.line}:{node.col}: expected a formula list")
-    if not node.items or not isinstance(node.items[0], SAtom):
-        raise InputError(f"{node.line}:{node.col}: empty or headless form")
-    head = node.items[0].text
-    span = (node.line, node.col)
-    args = node.items[1:]
-
-    def arity(k: int):
+    """The formula a form denotes.  The stack holds forms still to read and,
+    under each connective's subforms, a (class, leading fields, subformula
+    count) frame that builds it from the last finished subformulas.  Forms
+    are checked outside-in, left to right, as a recursive descent would."""
+    built: list[Formula] = []
+    todo: list = [node]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, tuple):
+            cls, fields, k = item
+            built[-k:] = [cls(*fields, *built[-k:])]
+            continue
+        where = f"{item.line}:{item.col}"
+        if isinstance(item, (SAtom, SSet)):
+            raise InputError(f"{where}: expected a formula list")
+        if not item.items or not isinstance(item.items[0], SAtom):
+            raise InputError(f"{where}: empty or headless form")
+        head, args = item.items[0].text, item.items[1:]
+        cls = _FORMS.get("mem" if head == "ingen" else head)
+        if cls is None:
+            raise InputError(f"{where}: unknown form {head!r}")
+        if issubclass(cls, _Quantifier):
+            if len(args) != 4 or not (isinstance(args[1], SAtom) and args[1].text == "in"):
+                raise InputError(f"{where}: expected ({head} v in t f)")
+            todo += ((cls, (_atom_text(args[0], "a variable"), _term(args[2])), 1), args[3])
+            continue
+        k = 1 if head in ("ingen", "not") else 2
         if len(args) != k:
-            raise InputError(f"{node.line}:{node.col}: {head} takes {k} arguments")
-
-    if head in ("mem", "eq"):
-        arity(2)
-        cls = Mem if head == "mem" else Eq
-        return cls(_term(args[0], "a term"), _term(args[1], "a term"), span)
-    if head == "ingen":
-        arity(1)
-        return Mem(_term(args[0], "a term"), "gen", span)
-    if head == "not":
-        arity(1)
-        return Not(formula_from_sexpr(args[0]), span)
-    if head in BINARY:
-        arity(2)
-        return BINARY[head](formula_from_sexpr(args[0]), formula_from_sexpr(args[1]), span)
-    if head in ("forall", "exists"):
-        if len(args) != 4 or not (isinstance(args[1], SAtom) and args[1].text == "in"):
-            raise InputError(f"{node.line}:{node.col}: expected ({head} v in t f)")
-        var = _atom_text(args[0], "a variable")
-        bound = _term(args[2], "a term")
-        body = formula_from_sexpr(args[3])
-        cls = ForallIn if head == "forall" else ExistsIn
-        return cls(var, bound, body, span)
-    raise InputError(f"{node.line}:{node.col}: unknown form {head!r}")
+            raise InputError(f"{where}: {head} takes {k} arguments")
+        if head == "ingen":
+            built.append(Mem(_term(args[0]), "gen"))
+        elif issubclass(cls, _Atom):
+            built.append(cls(_term(args[0]), _term(args[1])))
+        else:
+            todo += ((cls, (), k), *reversed(args))
+    return built[0]
 
 
 def parse_formula(text: str) -> Formula:
@@ -223,20 +229,19 @@ def print_term(t: Term) -> str:
 
 
 def print_formula(f: Formula) -> str:
-    if isinstance(f, Mem):
-        return f"(mem {print_term(f.left)} {print_term(f.right)})"
-    if isinstance(f, Eq):
-        return f"(eq {print_term(f.left)} {print_term(f.right)})"
-    if isinstance(f, Not):
-        return f"(not {print_formula(f.sub)})"
-    if isinstance(f, And):
-        return f"(and {print_formula(f.left)} {print_formula(f.right)})"
-    if isinstance(f, Or):
-        return f"(or {print_formula(f.left)} {print_formula(f.right)})"
-    if isinstance(f, Imp):
-        return f"(imp {print_formula(f.left)} {print_formula(f.right)})"
-    if isinstance(f, ForallIn):
-        return f"(forall {f.var} in {print_term(f.bound)} {print_formula(f.body)})"
-    if isinstance(f, ExistsIn):
-        return f"(exists {f.var} in {print_term(f.bound)} {print_formula(f.body)})"
-    raise InputError(f"not a formula node: {f!r}")
+    """The canonical text of f, from a stack of nodes and text still to write."""
+    out: list[str] = []
+    todo: list = [_formula(f)]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, str):
+            out.append(g)
+        elif isinstance(g, _Atom):
+            out.append(f"({g._head} {print_term(g.left)} {print_term(g.right)})")
+        elif isinstance(g, _Quantifier):
+            out.append(f"({g._head} {g.var} in {print_term(g.bound)} ")
+            todo += (")", g.body)
+        else:
+            out.append(f"({g._head} ")
+            todo += (")", g.right, " ", g.left) if isinstance(g, _Binary) else (")", g.sub)
+    return "".join(out)

@@ -859,9 +859,9 @@ def clopen_formula(M: Poset, X: ClopenPredicate) -> tuple[Formula, Mapping[str, 
 
 @lru_cache(maxsize=1024)
 def _prefix_formula(pre: tuple[int, ...]) -> Formula:
-    """The increasing enumeration of the real starts with pre.  One shared
-    formula object per prefix, so memo lookups on it compare by identity
-    rather than by structure."""
+    """The increasing enumeration of the real starts with pre.  Formula
+    nodes are interned, so every build of a prefix yields the same object;
+    the cache only saves rebuilding its nodes."""
     if not pre:
         return Eq("real", "real")
     parts: list[Formula] = [Mem(f"k{x}", "real") for x in pre]

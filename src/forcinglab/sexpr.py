@@ -112,5 +112,14 @@ def read_all(text: str) -> list[SNode]:
 
 
 def print_hf(x: frozenset) -> str:
-    inner = sorted((print_hf(y) for y in x), key=lambda s: (len(s), s))
-    return "#{" + " ".join(inner) + "}"
+    """Canonical text, elements sorted by (length, text); no recursion."""
+    done: dict[frozenset, str] = {}
+    todo = [x]
+    while todo:
+        s = todo.pop()
+        pending = [y for y in s if y not in done]
+        if pending:
+            todo += (s, *pending)
+        elif s not in done:
+            done[s] = "#{" + " ".join(sorted((done[y] for y in s), key=lambda t: (len(t), t))) + "}"
+    return done[x]

@@ -26,7 +26,7 @@ from forcinglab.ramsey import (
     HlRow,
     HlWitness,
 )
-from forcinglab.sexpr import SAtom, SList, SSet
+from forcinglab.sexpr import IDENT, SAtom, SList, SSet
 
 # ---------------------------------------------------------------------------
 # labeled posets
@@ -596,3 +596,95 @@ def read_all_reference(text: str) -> list:
         if reader.pos >= len(reader.text):
             return out
         out.append(reader.read())
+
+
+# ---------------------------------------------------------------------------
+# formulas
+# ---------------------------------------------------------------------------
+#
+# The formula parser, printer and free-variable walk as plain recursion over
+# nested tuples: ("mem", t, t), ("eq", t, t), ("not", f), ("and", f, f),
+# ("or", f, f), ("imp", f, f), ("forall", v, t, f), ("exists", v, t, f), with
+# ``ingen`` expanded and a constant term as ("check", value).
+# ``formulas.formula_from_sexpr`` must raise the same first error, and
+# ``print_formula`` and ``Formula.free`` must agree with these.
+
+
+def print_hf_reference(x: frozenset) -> str:
+    inner = sorted((print_hf_reference(y) for y in x), key=lambda s: (len(s), s))
+    return "#{" + " ".join(inner) + "}"
+
+
+def _atom_text_reference(node, what: str) -> str:
+    if not isinstance(node, SAtom):
+        raise InputError(f"{node.line}:{node.col}: expected {what}")
+    if not IDENT.fullmatch(node.text):
+        raise InputError(f"{node.line}:{node.col}: bad identifier {node.text!r}")
+    return node.text
+
+
+def _term_reference(node, what: str):
+    if (
+        isinstance(node, SList)
+        and len(node.items) == 2
+        and isinstance(node.items[0], SAtom)
+        and node.items[0].text == "check"
+        and isinstance(node.items[1], SSet)
+    ):
+        return ("check", node.items[1].value)
+    return _atom_text_reference(node, what)
+
+
+def formula_from_sexpr_reference(node):
+    if isinstance(node, (SAtom, SSet)):
+        raise InputError(f"{node.line}:{node.col}: expected a formula list")
+    if not node.items or not isinstance(node.items[0], SAtom):
+        raise InputError(f"{node.line}:{node.col}: empty or headless form")
+    head = node.items[0].text
+    args = node.items[1:]
+
+    def arity(k: int):
+        if len(args) != k:
+            raise InputError(f"{node.line}:{node.col}: {head} takes {k} arguments")
+
+    if head in ("mem", "eq"):
+        arity(2)
+        return (head, _term_reference(args[0], "a term"), _term_reference(args[1], "a term"))
+    if head == "ingen":
+        arity(1)
+        return ("mem", _term_reference(args[0], "a term"), "gen")
+    if head == "not":
+        arity(1)
+        return ("not", formula_from_sexpr_reference(args[0]))
+    if head in ("and", "or", "imp"):
+        arity(2)
+        return (head, formula_from_sexpr_reference(args[0]), formula_from_sexpr_reference(args[1]))
+    if head in ("forall", "exists"):
+        if len(args) != 4 or not (isinstance(args[1], SAtom) and args[1].text == "in"):
+            raise InputError(f"{node.line}:{node.col}: expected ({head} v in t f)")
+        var = _atom_text_reference(args[0], "a variable")
+        bound = _term_reference(args[2], "a term")
+        return (head, var, bound, formula_from_sexpr_reference(args[3]))
+    raise InputError(f"{node.line}:{node.col}: unknown form {head!r}")
+
+
+def _print_term_reference(t) -> str:
+    return t if isinstance(t, str) else f"(check {print_hf_reference(t[1])})"
+
+
+def print_formula_reference(f) -> str:
+    head = f[0]
+    if head in ("mem", "eq"):
+        return f"({head} {_print_term_reference(f[1])} {_print_term_reference(f[2])})"
+    if head in ("forall", "exists"):
+        return f"({head} {f[1]} in {_print_term_reference(f[2])} {print_formula_reference(f[3])})"
+    return "(" + " ".join([head, *map(print_formula_reference, f[1:])]) + ")"
+
+
+def free_reference(f) -> set[str]:
+    head = f[0]
+    if head in ("mem", "eq"):
+        return {t for t in f[1:] if isinstance(t, str)}
+    if head in ("forall", "exists"):
+        return (free_reference(f[3]) - {f[1]}) | ({f[2]} if isinstance(f[2], str) else set())
+    return set().union(*map(free_reference, f[1:]))

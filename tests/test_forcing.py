@@ -1,10 +1,13 @@
 import gc
 import itertools
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +31,7 @@ from forcinglab import (
     soundness_disagreements,
     truth_value,
 )
+from forcinglab import forcing
 from forcinglab.forcing import ForcingContext, context_for
 from forcinglab.formulas import And, Check, Eq, ExistsIn, ForallIn, Imp, Mem, Not, Or
 from forcinglab.names import condition_codes, hereditary_names
@@ -268,6 +272,43 @@ def test_context_is_freed_with_its_poset():
     del P, env
     gc.collect()
     assert ref() is None
+
+
+def test_non_formula_is_an_input_error(P, env):
+    ctx = context_for(P)
+    for bad in ("e", Check(HF0), 42):
+        with pytest.raises(InputError, match="not a formula node"):
+            ctx.forces_set(bad, env)
+        with pytest.raises(InputError, match="not a formula node"):
+            ctx.oracle_mask(bad, env)
+
+
+_DEEP_FORMULA_SCRIPT = """
+import sys
+from forcinglab import forces_set, generic_name, oracle_set, parse_formula, zoo
+from forcinglab.forcing import context_for
+
+P, _ = zoo.cohen(1, 1)
+context_for(P)
+f = parse_formula("(not " * 20000 + "(eq gen gen)" + ")" * 20000)
+env = {"gen": generic_name(P)}
+try:
+    answers = forces_set(P, f, env), oracle_set(P, f, env)
+except RecursionError:
+    sys.exit(2)
+assert answers == (frozenset(P.ids), frozenset(P.ids)), answers
+"""
+
+
+def test_a_deep_formula_does_not_crash_the_interpreter():
+    # 20000 nested negations evaluated once a context exists; a crash of
+    # the interpreter shows as a negative return code (the signal)
+    src = str(Path(forcing.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEEP_FORMULA_SCRIPT], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode in (0, 2), (proc.returncode, proc.stderr[-2000:])
 
 
 def test_oracle_smoke(P, env):

@@ -97,6 +97,20 @@ def test_names_file_errors(cohen11):
         parse_names("(x y z)", P)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(def é (check #{}))", "1:6: bad identifier 'é'"),
+        ("(def ok (check #{}))\n  (def a/b (check #{}))", "2:8: bad identifier 'a/b'"),
+    ],
+)
+def test_names_file_identifiers_are_checked(cohen11, text, message):
+    # a name no formula could refer to is rejected where it is defined
+    with pytest.raises(InputError) as exc:
+        parse_names(text, cohen11[0])
+    assert str(exc.value) == message
+
+
 def test_gen_in_names_file(cohen11):
     P, _ = cohen11
     names = parse_names("(def g (gen))", P)

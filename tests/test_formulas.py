@@ -1,6 +1,21 @@
-import pytest
+import copy
+import pickle
+import sys
+import threading
+import time
+import weakref
 
-from forcinglab import InputError, parse_formula, print_formula
+import pytest
+from helpers import (
+    formula_from_sexpr_reference,
+    free_reference,
+    print_formula_reference,
+    print_hf_reference,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from forcinglab import InputError, formulas, parse_formula, print_formula
 from forcinglab.formulas import (
     And,
     Check,
@@ -11,7 +26,7 @@ from forcinglab.formulas import (
     Mem,
     Not,
     Or,
-    depth,
+    formula_from_sexpr,
     unbound_symbols,
 )
 from forcinglab.sexpr import print_hf, read_one
@@ -34,15 +49,12 @@ def test_ingen_sugar():
 
 def test_unbound_variable_reported():
     f = parse_formula("(mem v gen)")
-    missing = unbound_symbols(f, {"gen"})
-    assert [sym for sym, _ in missing] == ["v"]
-    assert missing[0][1] is not None  # has a source span
+    assert unbound_symbols(f, {"gen"}) == ["v"]
 
 
 def test_unbound_listed_exhaustively():
     f = parse_formula("(and (mem a b) (eq c d))")
-    missing = sorted(sym for sym, _ in unbound_symbols(f, {"b"}))
-    assert missing == ["a", "c", "d"]
+    assert unbound_symbols(f, {"b"}) == ["a", "c", "d"]
 
 
 def test_bound_variable_is_not_reported():
@@ -87,16 +99,152 @@ def test_comments_and_whitespace():
     assert f == Eq("a", "b")
 
 
-def test_depth():
-    assert depth(parse_formula("(eq a b)")) == 1
-    assert depth(parse_formula("(not (eq a b))")) == 2
-    assert depth(parse_formula("(and (not (eq a b)) (eq a b))")) == 3
-    assert depth(parse_formula("(forall v in w (not (eq v v)))")) == 3
-
-
 def test_structural_equality_ignores_spans():
     f1 = parse_formula("(eq a b)")
     f2 = parse_formula("  (eq a b)")
-    assert f1 == f2
-    assert hash(f1) == hash(f2)
-    assert f1.span != f2.span
+    assert f1 is f2
+    assert Or(Not(f1), Eq("a", "b")) is parse_formula("(or (not (eq a b)) (eq a b))")
+    assert Mem("a", "b") is not Eq("a", "b")
+
+
+def test_nodes_are_immutable_and_copy_to_themselves():
+    f = parse_formula("(forall v in w (and (mem v w) (ingen (check #{#{}}))))")
+    with pytest.raises(AttributeError):
+        f.var = "u"
+    with pytest.raises(AttributeError):
+        del f.body
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert repr(f) == print_formula(f)
+
+
+def test_non_formula_children_are_rejected():
+    with pytest.raises(InputError, match="not a formula node: 'x'"):
+        Not("x")
+    with pytest.raises(InputError, match="not a formula node"):
+        And(Eq("a", "b"), Check(frozenset()))
+    with pytest.raises(InputError, match="not a formula node"):
+        print_formula("(eq a b)")
+
+
+SEP = st.sampled_from([" ", "  ", "\n", "\t", " ; c\n "])
+IDENTS = st.sampled_from(["a", "b", "gen", "v", "x.1", "a", "v", "é", "a/b", "in"])
+HF_TEXT = st.recursive(
+    st.just(frozenset()), lambda sets: st.frozensets(sets, max_size=3), max_leaves=5
+).map(print_hf_reference)
+TERMS = st.one_of(
+    IDENTS,
+    HF_TEXT.map("(check {})".format),
+    st.sampled_from(["#{}", "()", "(check a)", "(check #{} #{})"]),
+)
+HEADS = st.sampled_from(
+    ["mem", "eq", "ingen", "not", "and", "or", "imp", "forall", "exists", "check", "bogus", "#{}", "(not a)"]
+)
+
+
+def _form(*parts):
+    """Text of a form of the given parts, each followed by a separator."""
+    return st.tuples(*parts, *[SEP] * len(parts)).map(
+        lambda t: "(" + "".join(p + s for p, s in zip(t[: len(parts)], t[len(parts) :])) + ")"
+    )
+
+
+FORMULA_TEXTS = st.recursive(
+    st.one_of(
+        _form(st.sampled_from(["mem", "eq"]), TERMS, TERMS),
+        _form(st.just("ingen"), TERMS),
+        TERMS,
+    ),
+    lambda sub: st.one_of(
+        _form(st.just("not"), sub),
+        _form(st.sampled_from(["and", "or", "imp"]), sub, sub),
+        _form(st.sampled_from(["forall", "exists"]), TERMS, st.sampled_from(["in", "in", "on", "#{}"]), TERMS, sub),
+        # any head, any arity: unknown heads, headless and empty forms
+        st.tuples(HEADS, st.lists(st.one_of(sub, TERMS), max_size=4)).map(
+            lambda t: "(" + " ".join([t[0], *t[1]]) + ")"
+        ),
+    ),
+    max_leaves=10,
+)
+
+
+def _outcome(build, text):
+    try:
+        return "ok", build(read_one(text))
+    except InputError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(FORMULA_TEXTS)
+def test_parser_matches_reference(text):
+    # the same printed text and free variables, or the same first error at
+    # the same line:col
+    def new(node):
+        f = formula_from_sexpr(node)
+        return print_formula(f), list(f.free)
+
+    def reference(node):
+        f = formula_from_sexpr_reference(node)
+        return print_formula_reference(f), sorted(free_reference(f))
+
+    assert _outcome(new, text) == _outcome(reference, text)
+
+
+def test_deep_nesting_is_not_bounded_by_the_recursion_limit():
+    depth = max(100000, 2 * sys.getrecursionlimit())
+    text = "(not " * depth + "(exists v in w (mem v x))" + ")" * depth
+    f = parse_formula(text)
+    assert f.free == ("w", "x")
+    assert print_formula(f) == text
+    assert parse_formula(text) is f
+
+
+def test_deep_hf_literal_prints():
+    literal = "#{" * 3000 + "}" * 3000
+    text = f"(mem (check {literal}) gen)"
+    assert print_formula(parse_formula(text)) == text
+    assert print_hf(read_one(literal).value) == literal
+
+
+def test_a_dropped_formula_dies():
+    f = parse_formula("(and (mem dropped1 dropped2) (not (eq dropped2 dropped1)))")
+    refs = [weakref.ref(f), weakref.ref(f.left), weakref.ref(f.right.sub)]
+    del f
+    assert [r() for r in refs] == [None, None, None]
+    # and the intern table let go of their entries
+    assert not [key for key in list(formulas._NODES.data) if "dropped1" in key]
+
+
+def test_threads_building_one_formula_get_one_object():
+    texts = [f"(or (mem t{i} u{i}) (not (forall v in t{i} (eq v u{i}))))" for i in range(150)]
+    workers = 8
+    start = threading.Barrier(workers)
+    results = [None] * workers
+
+    def work(w):
+        start.wait()
+        results[w] = [parse_formula(text) for text in texts]
+
+    def give_up_the_lock(frame, event, arg):
+        # switch threads after every C call, so two threads race to build
+        # the same node
+        if event == "c_return":
+            time.sleep(0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    threading.setprofile(give_up_the_lock)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        threading.setprofile(None)
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    split = [t for i, t in enumerate(texts) if len({id(r[i]) for r in results}) != 1]
+    assert split == [], f"{len(split)} of {len(texts)} formulas came out as two or more objects"
