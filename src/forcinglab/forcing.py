@@ -20,7 +20,15 @@ closure of a minimal condition meets every dense set, so evaluating a
 formula directly on the hereditarily finite interpretations of its names
 under every such filter decides everything.  ``p`` semantically forces a
 formula when it evaluates true under every minimal filter through ``p``.
-The two routes share no logic and are compared set-for-set in the tests.
+The two routes are compared set-for-set in the tests.
+
+A constant (check-shaped) name denotes the same HF set under every filter,
+so both routes decide it by value, from one constants table per context:
+the oracle reads its value instead of rebuilding it per filter, and an
+atom on two constant names is forced everywhere or nowhere, by plain
+membership or equality of the values (the check-name lemma, Kunen, *Set
+Theory*, ch. VII).  The tests hold both shortcuts to the plain recursion
+and the per-filter walk kept in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from typing import Iterable, Mapping, Optional
 from .completion import RegularOpenAlgebra
 from .errors import ForcingLabError, InputError
 from .formulas import And, Check, Eq, ExistsIn, ForallIn, Formula, Imp, Mem, Not, Or, Term
-from .names import HF, Name, _interpret, check_name, hereditary_names, validate_name
+from .names import HF, Name, _constant_value, _interpret, check_name, hereditary_names, validate_name
 from .poset import Poset, RowUnion
 
 def context_for(P: Poset) -> "ForcingContext":
@@ -83,6 +91,9 @@ class ForcingContext:
         self._eq: dict[tuple[Name, Name], int] = {}
         self._forces: dict[tuple, int] = {}
         self._oracle: dict[tuple, int] = {}
+        # name -> the HF set it denotes under every filter, or None; a name
+        # here has every name inside it here too
+        self._constants: dict[Name, Optional[HF]] = {}
         self._interp: list[dict[Name, HF]] = [{} for _ in range(self.nf)]
         self._validated: set[Name] = set()
         self._entry_order: dict[Name, tuple] = {}
@@ -113,7 +124,7 @@ class ForcingContext:
         under a stricter bound), so they are all recorded."""
         if name in self._validated:
             return
-        ok, violation = validate_name(name, self.poset)
+        ok, violation = validate_name(name, self.poset, self._constants)
         if not ok:
             path, cond = violation
             raise InputError(
@@ -122,8 +133,23 @@ class ForcingContext:
         self._validated.add(name)
         self._validated |= hereditary_names(name)
 
+    def constant(self, name: Name) -> Optional[HF]:
+        """The HF set a constant (check-shaped) name denotes under every
+        filter, else None; one table per context."""
+        try:
+            return self._constants[name]
+        except KeyError:
+            return _constant_value(name, self.poset.top, self._constants)
+
     def interp(self, name: Name, fidx: int) -> HF:
-        return _interpret(name, self.filter_masks[fidx], self.poset.index, self._interp[fidx])
+        """The value of name under minimal filter fidx.  A constant name, or
+        one inside it, is read from the constants table, so its value is
+        built once per context; the per-filter tables hold the rest."""
+        value = self.constant(name)
+        if value is None:
+            members = self.filter_masks[fidx]
+            value = _interpret(name, members, self.poset.index, self._interp[fidx], self._constants)
+        return value
 
     # -- atomic forcing sets ---------------------------------------------------
 
@@ -145,6 +171,11 @@ class ForcingContext:
         hit = self._mem.get(key)
         if hit is not None:
             return hit
+        cy = self.constant(y)
+        if cy is not None and (cx := self.constant(x)) is not None:
+            # the check-name lemma: forced everywhere or nowhere, by the values
+            self._mem[key] = self.full if cx in cy else 0
+            return self._mem[key]
         index = self.poset.index
         ordered, by_rank = self._entries_of(y)
         probe = by_rank.get(x.rank, ())
@@ -168,6 +199,10 @@ class ForcingContext:
         hit = self._eq.get(key)
         if hit is not None:
             return hit
+        cx = self.constant(x)
+        if cx is not None and (cy := self.constant(y)) is not None:
+            self._eq[key] = self._eq[(y, x)] = self.full if cx == cy else 0
+            return self._eq[key]
         hx = hereditary_names(x)
         hy = hereditary_names(y)
         U = 0
@@ -278,13 +313,19 @@ class ForcingContext:
         if isinstance(f, (Mem, Eq)):
             ln = self._resolve(f.left, env, binds)
             rn = self._resolve(f.right, env, binds)
-            out = 0
-            for fidx in range(self.nf):
-                lv = self.interp(ln, fidx)
-                rv = self.interp(rn, fidx)
-                holds = lv in rv if isinstance(f, Mem) else lv == rv
-                if holds:
-                    out |= 1 << fidx
+            lc, rc = self.constant(ln), self.constant(rn)
+            if lc is not None and rc is not None:
+                # the check-name lemma: true under every filter or under none
+                holds = lc in rc if isinstance(f, Mem) else lc == rc
+                out = self.filter_full if holds else 0
+            else:
+                out = 0
+                for fidx in range(self.nf):
+                    lv = self.interp(ln, fidx)
+                    rv = self.interp(rn, fidx)
+                    holds = lv in rv if isinstance(f, Mem) else lv == rv
+                    if holds:
+                        out |= 1 << fidx
         elif isinstance(f, Not):
             out = ~self.oracle_mask(f.sub, env, binds) & self.filter_full
         elif isinstance(f, And):

@@ -9,10 +9,10 @@ output so identical inputs always produce identical bytes.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .errors import InputError
-from .names import Name, check_name, constant_value, generic_name
+from .names import Name, _constant_value, check_name, generic_name
 from .poset import ConditionFamily, Poset, make_family
 from .ramsey import ClopenPredicate, FinFamily, LevelColoring
 from .sexpr import IDENT, SAtom, SList, SNode, SSet, print_hf, read_all
@@ -196,14 +196,17 @@ def parse_names(text: str, P: Poset) -> dict[str, Name]:
 def print_name(n: Name, P: Poset) -> str:
     """Canonical form: constant names print as (check ...), the rest entry by
     entry with entries ordered by (condition, printed child)."""
-    as_hf = constant_value(n, P)
-    if as_hf is not None:
-        return f"(check {print_hf(as_hf)})"
-    printed = sorted(
-        (cond, print_name(child, P)) for child, cond in n.entries
-    )
-    inner = " ".join(f"(pair {text} {cond})" for cond, text in printed)
-    return f"(name ({inner}))"
+    constants: dict[Name, Optional[frozenset]] = {}
+
+    def show(m: Name) -> str:
+        as_hf = _constant_value(m, P.top, constants)
+        if as_hf is not None:
+            return f"(check {print_hf(as_hf)})"
+        printed = sorted((cond, show(child)) for child, cond in m.entries)
+        inner = " ".join(f"(pair {text} {cond})" for cond, text in printed)
+        return f"(name ({inner}))"
+
+    return show(n)
 
 
 # -- ramsey inputs ---------------------------------------------------------

@@ -176,23 +176,26 @@ def hereditary_names(n: Name) -> frozenset[Name]:
 
 
 def _constant_value(n: Name, top: str, memo: dict[Name, Optional[HF]]) -> Optional[HF]:
+    """Fill memo with the constant value (or None) of n and of every name
+    inside it, so a name in memo has all the names inside it there too."""
+    if n in memo:
+        return memo[n]
     stack = [n]
     while stack:
         cur = stack[-1]
         if cur in memo:
             stack.pop()
             continue
-        if any(cond != top for _, cond in cur.entries):
-            memo[cur] = None
-            stack.pop()
-            continue
         pending = [c for c, _ in cur.entries if c not in memo]
         if pending:
             stack.extend(pending)
+            continue
+        values = [memo[c] for c, cond in cur.entries if cond == top]
+        if len(values) < len(cur.entries) or None in values:
+            memo[cur] = None
         else:
-            values = [memo[c] for c, _ in cur.entries]
-            memo[cur] = None if any(v is None for v in values) else frozenset(values)
-            stack.pop()
+            memo[cur] = frozenset(values)
+        stack.pop()
     return memo[n]
 
 
@@ -202,7 +205,9 @@ def constant_value(n: Name, P: Poset) -> Optional[HF]:
     return _constant_value(n, P.top, {})
 
 
-def validate_name(n: Name, P: Poset) -> tuple[bool, Optional[tuple[tuple[str, ...], str]]]:
+def validate_name(
+    n: Name, P: Poset, constants: Optional[dict[Name, Optional[HF]]] = None
+) -> tuple[bool, Optional[tuple[tuple[str, ...], str]]]:
     """Check the nested-condition discipline: inside an entry attached to q,
     deeper entry conditions must extend to q.
 
@@ -210,14 +215,16 @@ def validate_name(n: Name, P: Poset) -> tuple[bool, Optional[tuple[tuple[str, ..
     greatest condition no matter where they sit, and they interpret the same
     way under every filter.  Returns (ok, first violation), the violation
     being the path of entry conditions down to the offender.  Unknown
-    condition identifiers raise an input error.
+    condition identifiers raise an input error.  ``constants`` is a table of
+    constant values to read and fill, such as a forcing context's.
     """
 
     def entry_key(entry: tuple[Name, str]):
         return (entry[1], entry[0].rank, id(entry[0]))
 
     ok_memo: set[tuple[Name, Optional[str]]] = set()
-    constants: dict[Name, Optional[HF]] = {}
+    if constants is None:
+        constants = {}
 
     def walk(name: Name, bound: Optional[str], path: tuple[str, ...]):
         if (name, bound) in ok_memo:
@@ -240,9 +247,17 @@ def validate_name(n: Name, P: Poset) -> tuple[bool, Optional[tuple[tuple[str, ..
     return False, (violation[:-1], violation[-1])
 
 
-def _interpret(n: Name, members: int, index: Mapping[str, int], memo: dict[Name, HF]) -> HF:
+def _interpret(
+    n: Name,
+    members: int,
+    index: Mapping[str, int],
+    memo: dict[Name, HF],
+    shared: Mapping[Name, Optional[HF]],
+) -> HF:
     """Post-order walk keeping the children whose condition's bit is set in
-    members; memo holds values under this one filter."""
+    members.  A name with a value in shared (one that holds under every
+    filter) is read from there; memo holds the other values, under this one
+    filter."""
     hit = memo.get(n)
     if hit is not None:
         return hit
@@ -253,11 +268,11 @@ def _interpret(n: Name, members: int, index: Mapping[str, int], memo: dict[Name,
             stack.pop()
             continue
         live = [c for c, cond in cur.entries if members >> index[cond] & 1]
-        pending = [c for c in live if c not in memo]
+        pending = [c for c in live if c not in memo and shared.get(c) is None]
         if pending:
             stack.extend(pending)
         else:
-            memo[cur] = frozenset(memo[c] for c in live)
+            memo[cur] = frozenset([memo[c] if c in memo else shared[c] for c in live])
             stack.pop()
     return memo[n]
 
@@ -265,6 +280,6 @@ def _interpret(n: Name, members: int, index: Mapping[str, int], memo: dict[Name,
 def interpret(n: Name, G: Filter) -> HF:
     """Evaluate the name under the filter, extensionally."""
     try:
-        return _interpret(n, G.mask(), G.poset.index, {})
+        return _interpret(n, G.mask(), G.poset.index, {}, {})
     except KeyError as exc:
         raise InputError(f"unknown condition {exc.args[0]!r} in a name") from None

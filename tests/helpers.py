@@ -16,7 +16,7 @@ from functools import lru_cache
 from forcinglab import Poset
 from forcinglab.errors import InputError
 from forcinglab.formulas import And, Eq, ExistsIn, ForallIn, Imp, Mem, Not, Or
-from forcinglab.names import Name, check_name, generic_name
+from forcinglab.names import Name, check_name, generic_name, hereditary_names
 from forcinglab.ramsey import (
     ACCEPTS,
     NEITHER,
@@ -260,6 +260,57 @@ def quantifier_bounds_small(f, env, cap: int = 64) -> bool:
     if isinstance(f.bound, str) and f.bound in env and len(env[f.bound].entries) > cap:
         return False
     return quantifier_bounds_small(f.body, env, cap)
+
+
+# ---------------------------------------------------------------------------
+# names and atomic forcing
+# ---------------------------------------------------------------------------
+#
+# The per-filter interpretation walk and the rank recursion of the atomic
+# forcing sets, with no constants table: every name is interpreted under
+# each filter on its own, and two constant names go through the same
+# recursion as any others.  ``ForcingContext.interp``, ``mem_set``,
+# ``eq_set`` and the atoms of ``oracle_mask`` must agree with these.
+
+
+def interpret_reference(n: Name, members: int, index, memo: dict) -> frozenset:
+    """The value of n under the filter whose bitmask is members."""
+    if n not in memo:
+        memo[n] = frozenset(
+            interpret_reference(c, members, index, memo)
+            for c, cond in n.entries
+            if members >> index[cond] & 1
+        )
+    return memo[n]
+
+
+class AtomicReference:
+    """``mem_set`` and ``eq_set`` by the rank recursion alone, with no early
+    exit, on a context's set combinators but with memo tables of its own."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.mem: dict = {}
+        self.eq: dict = {}
+
+    def mem_set(self, x: Name, y: Name) -> int:
+        if (x, y) not in self.mem:
+            ctx = self.ctx
+            S = 0
+            for child, cond in y.entries:
+                S |= ctx.down[ctx.poset.index[cond]] & self.eq_set(x, child)
+            self.mem[(x, y)] = ctx.dense_below(S)
+        return self.mem[(x, y)]
+
+    def eq_set(self, x: Name, y: Name) -> int:
+        if x == y:
+            return self.ctx.full
+        if (x, y) not in self.eq:
+            U = 0
+            for z in hereditary_names(x) | hereditary_names(y):
+                U |= self.mem_set(z, x) ^ self.mem_set(z, y)
+            self.eq[(x, y)] = self.ctx.avoid(U)
+        return self.eq[(x, y)]
 
 
 # ---------------------------------------------------------------------------

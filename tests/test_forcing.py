@@ -34,7 +34,7 @@ from forcinglab import (
 from forcinglab import forcing
 from forcinglab.forcing import ForcingContext, context_for
 from forcinglab.formulas import And, Check, Eq, ExistsIn, ForallIn, Imp, Mem, Not, Or
-from forcinglab.names import condition_codes, hereditary_names
+from forcinglab.names import condition_codes, constant_value, hereditary_names
 from forcinglab.poset import Poset
 
 HF0 = frozenset()
@@ -309,6 +309,64 @@ def test_a_deep_formula_does_not_crash_the_interpreter():
         [sys.executable, "-c", _DEEP_FORMULA_SCRIPT], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode in (0, 2), (proc.returncode, proc.stderr[-2000:])
+
+
+def _reference_corpus(Q):
+    """Check names of every set of rank below 4 and of the condition codes,
+    gen, and mixed names holding constant subtrees under non-top
+    conditions."""
+    from helpers import canonical_env, hf_universe
+
+    env = canonical_env(Q)
+    top, q = Q.top, next((c for c in Q.ids if c != Q.top), Q.top)
+    lifted = Name([(env["two"], top)])
+    inner = Name([(env["e"], q), (env["two"], top)])
+    pool = [check_name(x, Q) for x in hf_universe(4)]
+    pool += [check_name(x, Q) for x in condition_codes(Q).values()]
+    pool += [env["gen"], env["y"], env["w"], lifted]
+    pool += [Name([(lifted, q), (env["one"], Q.ids[-1])]), Name([(inner, q), (lifted, top)])]
+    return pool
+
+
+def test_constant_shortcuts_match_the_recursion(small_corpus):
+    # constant names are decided by value in both routes; the references
+    # decide them by the plain recursion and the per-filter walk
+    from helpers import AtomicReference, interpret_reference
+
+    for Q in small_corpus:
+        ctx = ForcingContext(Q)
+        ref = AtomicReference(ctx)
+        pool = _reference_corpus(Q)
+        values = []
+        for fidx, members in enumerate(ctx.filter_masks):
+            memo = {}
+            values.append([interpret_reference(n, members, Q.index, memo) for n in pool])
+            assert [ctx.interp(n, fidx) for n in pool] == values[-1]
+        for (i, x), (j, y) in itertools.product(enumerate(pool), repeat=2):
+            assert ctx.mem_set(x, y) == ref.mem_set(x, y)
+            assert ctx.eq_set(x, y) == ref.eq_set(x, y)
+            env = {"a": x, "b": y}
+            mem = sum(1 << f for f, v in enumerate(values) if v[i] in v[j])
+            eq = sum(1 << f for f, v in enumerate(values) if v[i] == v[j])
+            assert ctx.oracle_mask(Mem("a", "b"), env) == mem
+            assert ctx.oracle_mask(Eq("a", "b"), env) == eq
+
+
+def test_constant_values_are_built_once_per_context(P):
+    ctx = ForcingContext(P)
+    assert ctx.nf >= 2
+    two = check_name(HF2, P)
+    assert ctx.interp(two, 0) is ctx.interp(two, 1)
+    gen = generic_name(P)
+    for fidx in range(ctx.nf):
+        ctx.interp(gen, fidx)
+        assert gen in ctx._interp[fidx]
+    assert all(constant_value(n, P) is None for table in ctx._interp for n in table)
+    # two constants are decided by value, with no equality recursion
+    assert ctx.mem_set(check_name(HF1, P), two) == ctx.full
+    assert ctx.eq_set(check_name(HF1, P), two) == 0
+    assert ctx._mem.keys() == {(check_name(HF1, P), two)}
+    assert len(ctx._eq) == 2
 
 
 def test_oracle_smoke(P, env):

@@ -80,6 +80,9 @@ def test_check_name_interprets_to_itself(P, small_corpus):
     pool4 = hf_universe(5)
     assert len(pool4) == 65536
     filters = _all_filters(P)
+    # the children of every pool4 check name; held here, the weak check-name
+    # table builds them once instead of once per parent
+    children = [check_name(x, P) for x in pool3]
     for x in pool4:
         cx = check_name(x, P)
         for F in filters:
