@@ -43,6 +43,11 @@ from .formulas import And, Check, Eq, ExistsIn, ForallIn, Formula, Imp, Mem, Not
 from .names import HF, Name, _constant_value, _interpret, check_name, hereditary_names, validate_name
 from .poset import Poset, RowUnion
 
+# Entries per generation of a context's avoid table; at most two generations
+# are kept, so a table holds at most twice this many masks.
+_AVOID_BUDGET = 1024
+
+
 def context_for(P: Poset) -> "ForcingContext":
     """The forcing context of P, built on first use and kept on P itself, so
     that it and its memo tables are freed together with the poset."""
@@ -63,6 +68,16 @@ class ForcingContext:
     the same value.  On CPython with the global interpreter lock, threads
     sharing one context get the answers a single thread gets
     (``tests/test_forcing.py`` checks this with 8 threads).
+
+    ``avoid`` keeps its answers in a bounded table of two generations,
+    ``_avoid`` (young) and ``_avoid_old``, keyed on the mask.  A miss in the
+    young dict is looked up in the old one, else computed, and written to
+    the young one; when the young dict holds ``_AVOID_BUDGET`` entries it
+    becomes the old one and the previous old one is dropped.  The answer is
+    a function of the mask alone, so these writes are idempotent too: a
+    race between threads can at worst drop a generation early or let one
+    hold an entry more per thread, never store a wrong answer.  The other
+    tables are not bounded yet.
     """
 
     def __init__(self, P: Poset):
@@ -87,6 +102,8 @@ class ForcingContext:
                 m ^= low
         self.cond_filters = cond_filters
         self._filter_kernel: Optional[RowUnion] = None
+        self._avoid: dict[int, int] = {}
+        self._avoid_old: dict[int, int] = {}
         self._mem: dict[tuple[Name, Name], int] = {}
         self._eq: dict[tuple[Name, Name], int] = {}
         self._forces: dict[tuple, int] = {}
@@ -106,7 +123,17 @@ class ForcingContext:
             return self.full
         if S == self.full:
             return 0
-        return self.full & ~self.poset.up_kernel().union(S)
+        out = self._avoid.get(S)
+        if out is None:
+            out = self._avoid_old.get(S)
+            if out is None:
+                out = self.full & ~self.poset.up_kernel().union(S)
+            young = self._avoid
+            young[S] = out
+            if len(young) >= _AVOID_BUDGET:
+                self._avoid_old = young
+                self._avoid = {}
+        return out
 
     def dense_below(self, S: int) -> int:
         """Conditions below which S is dense."""
@@ -433,9 +460,13 @@ def decide_name_value(P: Poset, p: str, y: Name) -> list[tuple[str, HF]]:
 
 
 def truth_value(A: RegularOpenAlgebra, f: Formula, env: Mapping[str, Name]) -> int:
-    """The regular-open hull of the conditions forcing f."""
-    ctx = context_for(A.base)
-    return A.ro(ctx.forces_set(f, env))
+    """The element of A that f takes: the set of conditions forcing f.
+
+    That set is already regular open (Kunen, *Set Theory*, 1980, ch. VII):
+    it is downward closed, and a condition below which it is dense belongs
+    to it, so it equals its own ``ro``.  The tests check this lemma on the
+    formula corpus over every small poset."""
+    return context_for(A.base).forces_set(f, env)
 
 
 def oracle_forces(P: Poset, p: str, f: Formula, env: Mapping[str, Name]) -> bool:

@@ -62,9 +62,30 @@ def von_neumann(i: int) -> HF:
 
 
 def von_neumann_value(x: HF) -> Optional[int]:
-    """Decode a von Neumann natural, or None if x is not one."""
-    i = len(x)
-    return i if von_neumann(i) == x else None
+    """Decode a von Neumann natural, or None if x is not one.
+
+    Bottom-up: x is the natural i when len(x) == i and every element decodes
+    to a natural below i.  Distinct elements decode to distinct naturals, so
+    they are then exactly 0..i-1.  Each object is decoded once (the memo is
+    keyed on ``id``, and x keeps every object alive meanwhile), so a copy of
+    a natural that shares no object with ``von_neumann(i)`` takes time
+    linear in its distinct objects, where ``==`` would descend every path."""
+    memo: dict[int, Optional[int]] = {}
+    stack = [x]
+    while stack:
+        cur = stack[-1]
+        if id(cur) in memo:
+            stack.pop()
+            continue
+        pending = [y for y in cur if id(y) not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        i = len(cur)
+        values = [memo[id(y)] for y in cur]
+        memo[id(cur)] = i if None not in values and max(values, default=-1) < i else None
+        stack.pop()
+    return memo[id(x)]
 
 
 class Name:

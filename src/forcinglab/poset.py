@@ -357,37 +357,33 @@ def compatible(P: Poset, p: str, q: str) -> bool:
 
 
 def is_filter(P: Poset, S: Iterable[str]) -> bool:
-    """Nonempty, upward closed, downward directed."""
+    """Nonempty, upward closed, downward directed.
+
+    A finite filter is the upward closure of its least member: a finite
+    directed set has a lower bound inside it, and everything above that
+    bound is in the set by upward closure.  Conversely the upward closure of
+    any condition is a filter.  So S is a filter exactly when some member's
+    up-set is S; none of this needs antisymmetry."""
     mask = P.mask_of(S)
-    if mask == 0:
-        return False
-    members = []
+    up = P._up
     m = mask
     while m:
         low = m & -m
-        members.append(low.bit_length() - 1)
+        if up[low.bit_length() - 1] == mask:
+            return True
         m ^= low
-    for i in members:
-        if P._up[i] & ~mask:
-            return False
-    down = P._down
-    for a in range(len(members)):
-        for b in range(a + 1, len(members)):
-            if not down[members[a]] & down[members[b]] & mask:
-                return False
-    return True
+    return False
 
 
 def is_dense(P: Poset, D: Iterable[str]) -> bool:
-    """Every condition has an extension in D."""
-    mask = P.mask_of(D)
-    return all(d & mask for d in P._down)
+    """Every condition has an extension in D: the upward closure of D is
+    everything."""
+    return P.up_kernel().union(P.mask_of(D)) == P.full_mask
 
 
 def is_exhaustive(P: Poset, E: Iterable[str]) -> bool:
     """Every condition is compatible with some member of E."""
-    mask = P.mask_of(E)
-    return all(c & mask for c in P.compat_masks())
+    return P.compat_kernel().union(P.mask_of(E)) == P.full_mask
 
 
 def is_antichain(P: Poset, A: Iterable[str]) -> bool:

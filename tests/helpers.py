@@ -144,6 +144,46 @@ def small_posets_with_top(max_n: int = 5) -> tuple[Poset, ...]:
 
 
 # ---------------------------------------------------------------------------
+# order predicates
+# ---------------------------------------------------------------------------
+#
+# The pairwise and row-scan forms of the predicates in ``poset.py``, which
+# must agree with the principal-filter test and the one-union tests there.
+
+
+def is_filter_reference(P: Poset, S) -> bool:
+    """Nonempty, upward closed, and every pair has a lower bound inside."""
+    mask = P.mask_of(S)
+    if mask == 0:
+        return False
+    members = []
+    m = mask
+    while m:
+        low = m & -m
+        members.append(low.bit_length() - 1)
+        m ^= low
+    for i in members:
+        if P._up[i] & ~mask:
+            return False
+    down = P._down
+    for a in range(len(members)):
+        for b in range(a + 1, len(members)):
+            if not down[members[a]] & down[members[b]] & mask:
+                return False
+    return True
+
+
+def is_dense_reference(P: Poset, D) -> bool:
+    mask = P.mask_of(D)
+    return all(d & mask for d in P._down)
+
+
+def is_exhaustive_reference(P: Poset, E) -> bool:
+    mask = P.mask_of(E)
+    return all(c & mask for c in P.compat_masks())
+
+
+# ---------------------------------------------------------------------------
 # canonical environments and the formula corpus
 # ---------------------------------------------------------------------------
 
@@ -286,12 +326,16 @@ def interpret_reference(n: Name, members: int, index, memo: dict) -> frozenset:
 
 class AtomicReference:
     """``mem_set`` and ``eq_set`` by the rank recursion alone, with no early
-    exit, on a context's set combinators but with memo tables of its own."""
+    exit, on a context's down-sets but with memo tables of its own and an
+    ``avoid`` that calls the kernel every time, past the context's table."""
 
     def __init__(self, ctx):
         self.ctx = ctx
         self.mem: dict = {}
         self.eq: dict = {}
+
+    def avoid(self, S: int) -> int:
+        return self.ctx.full & ~self.ctx.poset.up_kernel().union(S)
 
     def mem_set(self, x: Name, y: Name) -> int:
         if (x, y) not in self.mem:
@@ -299,7 +343,7 @@ class AtomicReference:
             S = 0
             for child, cond in y.entries:
                 S |= ctx.down[ctx.poset.index[cond]] & self.eq_set(x, child)
-            self.mem[(x, y)] = ctx.dense_below(S)
+            self.mem[(x, y)] = self.avoid(self.avoid(S))
         return self.mem[(x, y)]
 
     def eq_set(self, x: Name, y: Name) -> int:
@@ -309,7 +353,7 @@ class AtomicReference:
             U = 0
             for z in hereditary_names(x) | hereditary_names(y):
                 U |= self.mem_set(z, x) ^ self.mem_set(z, y)
-            self.eq[(x, y)] = self.ctx.avoid(U)
+            self.eq[(x, y)] = self.avoid(U)
         return self.eq[(x, y)]
 
 

@@ -263,6 +263,74 @@ def test_truth_value_versus_forcing(P, env):
         assert forces(P, p, phi, env) == A.leq(A.embedding(p), tv)
 
 
+def test_forcing_sets_are_regular_open(small_corpus, corpus_formulas):
+    # truth_value returns the forcing set itself; the lemma that makes that
+    # right, on the formula corpus over every small poset
+    from helpers import canonical_env
+
+    for Q in small_corpus:
+        A = boolean_completion(Q)
+        ctx = context_for(Q)
+        env = canonical_env(Q)
+        # one formula per truth value: the corpus takes few distinct values
+        witness = {truth_value(A, f, env): f for f in corpus_formulas}
+        for tv, f in witness.items():
+            mask = ctx.forces_set(f, env)
+            assert A.is_element(mask), (Q.name, f)
+            assert tv == A.ro(mask), (Q.name, f)
+        # and every subformula under every quantifier binding met on the way
+        assert all(A.is_element(mask) for mask in set(ctx._forces.values())), Q.name
+
+
+def _kernel_avoid(ctx, S):
+    return ctx.full & ~ctx.poset.up_kernel().union(S)
+
+
+def test_avoid_table_matches_the_kernel(cohen12, corpus_formulas, monkeypatch):
+    # every mask the formula corpus passes to avoid on cohen(1,2), then
+    # seeded random masks; a small budget makes the table rotate on 9 conditions
+    from helpers import canonical_env
+
+    budget = 64
+    monkeypatch.setattr(forcing, "_AVOID_BUDGET", budget)
+    P = cohen12[0]
+    ctx = ForcingContext(P)
+    seen = []
+    table_avoid = ctx.avoid
+
+    def recording(S):
+        seen.append(S)
+        return table_avoid(S)
+
+    ctx.avoid = recording
+    env = canonical_env(P)
+    for f in corpus_formulas:
+        ctx.forces_set(f, env)
+    del ctx.avoid
+    rng = random.Random(13)
+    masks = list(dict.fromkeys(seen)) + [rng.getrandbits(len(P)) for _ in range(2000)]
+    assert len(set(masks)) > 4 * budget
+    for _ in range(2):
+        # the second pass reads what the first left after many rotations
+        for S in masks:
+            assert ctx.avoid(S) == _kernel_avoid(ctx, S), S
+            assert len(ctx._avoid) < budget and len(ctx._avoid_old) <= budget
+
+
+def test_avoid_table_stays_within_its_budget(mathias6):
+    ctx = ForcingContext(mathias6)
+    budget = forcing._AVOID_BUDGET
+    rng = random.Random(29)
+    masks = list(dict.fromkeys(rng.getrandbits(len(mathias6)) for _ in range(5000)))
+    assert len(masks) == 5000
+    for S in masks:
+        assert ctx.avoid(S) == _kernel_avoid(ctx, S)
+        assert len(ctx._avoid) <= budget and len(ctx._avoid_old) <= budget
+    assert len(ctx._avoid_old) == budget
+    # the last generations are served from the table, older masks are recomputed
+    assert all(ctx.avoid(S) == _kernel_avoid(ctx, S) for S in masks)
+
+
 def test_context_is_freed_with_its_poset():
     P = Poset("owned", ["a", "b", "t"], "t", [("a", "t"), ("b", "t")])
     env = {"gen": generic_name(P)}
@@ -407,7 +475,17 @@ _THREAD_FORMULAS = (
 
 
 def test_shared_context_across_threads(cohen12):
-    P = cohen12[0]
+    _check_threads_agree_with_one(cohen12[0])
+
+
+def test_shared_context_across_threads_while_the_avoid_table_rotates(cohen12, monkeypatch):
+    # so small a budget makes the shared avoid table change generations
+    # many times while the threads read and write it
+    monkeypatch.setattr(forcing, "_AVOID_BUDGET", 4)
+    _check_threads_agree_with_one(cohen12[0])
+
+
+def _check_threads_agree_with_one(P):
     pool = _cohen12_pool(P)
     rng = random.Random(6)
     workers, per_worker = 8, 500

@@ -57,6 +57,39 @@ def test_von_neumann_roundtrip():
     assert von_neumann_value(frozenset([HF1])) is None
 
 
+def _separate_naturals(n):
+    # built apart from von_neumann's own list, so no object is shared with it
+    out = [frozenset()]
+    for _ in range(n):
+        out.append(frozenset(out))
+    return out
+
+
+def test_separately_built_naturals_decode():
+    copies = _separate_naturals(60)
+    assert copies[20] is not von_neumann(20)
+    assert von_neumann_value(copies[60]) == 60
+    assert [von_neumann_value(x) for x in copies[:10]] == list(range(10))
+
+
+def test_generic_filter_decodes_on_a_large_poset(mathias6):
+    # interpreting builds its own copies of the codes, up to 197 here
+    _, members = mathias6.minimal_filters()[0]
+    F = Filter(mathias6, frozenset(mathias6.ids_of(members)))
+    decoded = frozenset(decode_condition(mathias6, x) for x in interpret(generic_name(mathias6), F))
+    assert decoded == F.members
+
+
+def test_a_natural_with_one_wrong_nested_element_is_not_one():
+    copies = _separate_naturals(12)
+    # 5 with its element 3 replaced by {0, 2}: still five elements
+    bad5 = frozenset(copies[:3] + [frozenset([copies[0], copies[2]]), copies[4]])
+    assert len(bad5) == 5 and von_neumann_value(bad5) is None
+    # 12 with its element 6 replaced by 6 whose element 5 is bad5
+    bad12 = frozenset(copies[:6] + [frozenset(copies[:5] + [bad5])] + copies[7:12])
+    assert len(bad12) == 12 and von_neumann_value(bad12) is None
+
+
 def test_check_name_structure(P):
     assert check_name(HF0, P).entries == frozenset()
     c = check_name(HF1, P)

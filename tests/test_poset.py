@@ -95,6 +95,19 @@ def test_is_filter_examples(cohen11):
     assert not is_filter(P, {"-", "0.0.0", "0.0.1"})  # not directed
 
 
+def test_predicates_match_the_pairwise_and_row_scans(small_corpus):
+    # the principal-filter test and the one-union density tests against the
+    # pairwise check and the row scans, on every subset of every small poset
+    from helpers import is_dense_reference, is_exhaustive_reference, is_filter_reference
+
+    for P in small_corpus:
+        for r in range(len(P) + 1):
+            for S in itertools.combinations(P.ids, r):
+                assert is_filter(P, S) == is_filter_reference(P, S), (P.name, S)
+                assert is_dense(P, S) == is_dense_reference(P, S), (P.name, S)
+                assert is_exhaustive(P, S) == is_exhaustive_reference(P, S), (P.name, S)
+
+
 def test_filter_type_validates(cohen11):
     P, _ = cohen11
     with pytest.raises(InputError):
