@@ -59,8 +59,10 @@ _WORKSPACES: "OrderedDict[tuple, Workspace]" = OrderedDict()
 
 def _load_workspace(poset_path: str, names_path: Optional[str]) -> Workspace:
     poset_text = Path(poset_path).read_text()
-    sidecar = Path(poset_path + ".families")
-    families_text = sidecar.read_text() if sidecar.exists() else None
+    try:
+        families_text = Path(poset_path + ".families").read_text()
+    except FileNotFoundError:  # no sidecar; any other OSError exits 2 in main
+        families_text = None
     names_text = Path(names_path).read_text() if names_path else None
     key = (poset_text, families_text, names_text, condition_cap())
     ws = _WORKSPACES.get(key)

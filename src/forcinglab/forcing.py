@@ -108,8 +108,8 @@ class ForcingContext:
         self._eq: dict[tuple[Name, Name], int] = {}
         self._forces: dict[tuple, int] = {}
         self._oracle: dict[tuple, int] = {}
-        # name -> the HF set it denotes under every filter, or None; a name
-        # here has every name inside it here too
+        # name -> the HF set it denotes under every filter, or None; a
+        # non-constant name here has its children here too
         self._constants: dict[Name, Optional[HF]] = {}
         self._interp: list[dict[Name, HF]] = [{} for _ in range(self.nf)]
         self._validated: set[Name] = set()

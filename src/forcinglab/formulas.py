@@ -18,6 +18,13 @@ Nodes are interned (hash-consed) in a weak table under a lock: building a
 node equal to a live one returns that object, so ``==`` is identity, and a
 node's hash and sorted free variables (``free``) are set once, from its
 children's.  Parsing and printing use explicit stacks, not recursion.
+
+``parse_formula`` puts a second weak table in front of the reader, from
+text to the formula built from it, so a text is read once while its formula
+lives: a repeated text costs one dict lookup and returns the same object.
+The table needs no budget, since an entry goes with its formula; what keeps
+entries alive is whatever else holds the formulas (in the CLI, the memo keys
+of its cached workspaces' forcing contexts), so hits fall with those tables.
 """
 
 from __future__ import annotations
@@ -43,6 +50,10 @@ Term = Union[str, Check]
 _NODES: "weakref.WeakValueDictionary[tuple, Formula]" = weakref.WeakValueDictionary()
 _NODES_LOCK = threading.Lock()
 _FORMS: dict[str, type] = {}  # head -> node class
+# text -> the formula parse_formula built from it, weak in the formula.  A
+# text that fails to parse is never stored.  Nodes are interned, so an entry
+# is a function of its key and two threads may store one unlocked.
+_TEXTS: "weakref.WeakValueDictionary[str, Formula]" = weakref.WeakValueDictionary()
 
 
 def _formula(x) -> "Formula":
@@ -159,11 +170,15 @@ def unbound_symbols(f: Formula, env_names: set[str]) -> list[str]:
     return [v for v in f.free if v not in env_names]
 
 
+def _error(node: SNode, message: str) -> InputError:
+    return InputError(f"{node.line}:{node.col}: {message}")
+
+
 def _atom_text(node: SNode, what: str) -> str:
     if not isinstance(node, SAtom):
-        raise InputError(f"{node.line}:{node.col}: expected {what}")
+        raise _error(node, f"expected {what}")
     if not IDENT.fullmatch(node.text):
-        raise InputError(f"{node.line}:{node.col}: bad identifier {node.text!r}")
+        raise _error(node, f"bad identifier {node.text!r}")
     return node.text
 
 
@@ -188,27 +203,26 @@ def formula_from_sexpr(node: SNode) -> Formula:
     todo: list = [node]
     while todo:
         item = todo.pop()
-        if isinstance(item, tuple):
+        if type(item) is tuple:  # a frame; nodes are tuple subclasses
             cls, fields, k = item
             built[-k:] = [cls(*fields, *built[-k:])]
             continue
-        where = f"{item.line}:{item.col}"
-        if isinstance(item, (SAtom, SSet)):
-            raise InputError(f"{where}: expected a formula list")
+        if not isinstance(item, SList):
+            raise _error(item, "expected a formula list")
         if not item.items or not isinstance(item.items[0], SAtom):
-            raise InputError(f"{where}: empty or headless form")
+            raise _error(item, "empty or headless form")
         head, args = item.items[0].text, item.items[1:]
         cls = _FORMS.get("mem" if head == "ingen" else head)
         if cls is None:
-            raise InputError(f"{where}: unknown form {head!r}")
+            raise _error(item, f"unknown form {head!r}")
         if issubclass(cls, _Quantifier):
             if len(args) != 4 or not (isinstance(args[1], SAtom) and args[1].text == "in"):
-                raise InputError(f"{where}: expected ({head} v in t f)")
+                raise _error(item, f"expected ({head} v in t f)")
             todo += ((cls, (_atom_text(args[0], "a variable"), _term(args[2])), 1), args[3])
             continue
         k = 1 if head in ("ingen", "not") else 2
         if len(args) != k:
-            raise InputError(f"{where}: {head} takes {k} arguments")
+            raise _error(item, f"{head} takes {k} arguments")
         if head == "ingen":
             built.append(Mem(_term(args[0]), "gen"))
         elif issubclass(cls, _Atom):
@@ -219,7 +233,12 @@ def formula_from_sexpr(node: SNode) -> Formula:
 
 
 def parse_formula(text: str) -> Formula:
-    return formula_from_sexpr(read_one(text))
+    """The formula text denotes.  A text whose formula is alive is not read
+    again: see ``_TEXTS``."""
+    f = _TEXTS.get(text)
+    if f is None:
+        f = _TEXTS[text] = formula_from_sexpr(read_one(text))
+    return f
 
 
 def print_term(t: Term) -> str:

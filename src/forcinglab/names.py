@@ -11,7 +11,8 @@ coding is what lets the canonical name for the generic filter interpret back
 to the filter itself.
 
 Derived facts live with what they describe: a name keeps the set of names
-inside it in a slot, and a poset keeps its forcing context.  Three tables
+inside it in a slot, a check name the set it was built from (its
+``_CHECK_CACHE`` key), and a poset keeps its forcing context.  Three tables
 remain at module level, none holding a name strongly: ``_VN`` (the von
 Neumann naturals, plain HF sets, grown on demand and never freed),
 ``_CHECK_CACHE`` (check names by value and top, weak in the name, so an entry
@@ -91,9 +92,10 @@ def von_neumann_value(x: HF) -> Optional[int]:
 class Name:
     """A finite set of (child, condition) pairs, hashable and immutable.
 
-    ``_inside`` is filled on first use by ``hereditary_names``."""
+    ``_inside`` is filled on first use by ``hereditary_names``; ``_check`` is
+    ``(x, top)`` on the name ``check_name`` built for x under that top."""
 
-    __slots__ = ("entries", "rank", "_hash", "_inside", "__weakref__")
+    __slots__ = ("entries", "rank", "_hash", "_inside", "_check", "__weakref__")
 
     def __init__(self, entries: Iterable[tuple["Name", str]] = ()):
         es = frozenset(entries)
@@ -104,6 +106,7 @@ class Name:
         object.__setattr__(self, "rank", 0 if not es else 1 + max(c.rank for c, _ in es))
         object.__setattr__(self, "_hash", hash(es))
         object.__setattr__(self, "_inside", None)
+        object.__setattr__(self, "_check", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Name is immutable")
@@ -138,11 +141,14 @@ _CHECK_CACHE: "WeakValueDictionary[tuple[HF, str], Name]" = WeakValueDictionary(
 
 def check_name(x: HF, P: Poset) -> Name:
     """The constant name for x: every entry carries the greatest condition.
-    One object serves every poset with the same top while anything holds it."""
+    One object serves every poset with the same top while anything holds it,
+    and it records the set it was built from, which is then its constant
+    value: the set itself, not a copy."""
     key = (x, P.top)
     hit = _CHECK_CACHE.get(key)
     if hit is None:
         hit = Name((check_name(y, P), P.top) for y in x)
+        object.__setattr__(hit, "_check", key)
         _CHECK_CACHE[key] = hit
     return hit
 
@@ -197,14 +203,21 @@ def hereditary_names(n: Name) -> frozenset[Name]:
 
 
 def _constant_value(n: Name, top: str, memo: dict[Name, Optional[HF]]) -> Optional[HF]:
-    """Fill memo with the constant value (or None) of n and of every name
-    inside it, so a name in memo has all the names inside it there too."""
+    """Fill memo with the constant value (or None) of n and of the names
+    inside it.  A name ``check_name`` built under this top has the set it was
+    built from as its value, and the names inside it are not walked; every
+    other name in memo has all its children there too."""
     if n in memo:
         return memo[n]
     stack = [n]
     while stack:
         cur = stack[-1]
         if cur in memo:
+            stack.pop()
+            continue
+        check = cur._check
+        if check is not None and check[1] == top:
+            memo[cur] = check[0]
             stack.pop()
             continue
         pending = [c for c, _ in cur.entries if c not in memo]

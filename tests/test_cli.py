@@ -211,6 +211,27 @@ def test_edited_families_sidecar_is_not_served_stale(tmp_path, capsys):
     assert run(capsys, "generic", "--poset", str(poset), "--from", "t", "--families", "d")[0] == 2
 
 
+def test_a_deleted_sidecar_means_no_families(tmp_path, capsys):
+    poset = tmp_path / "p.poset"
+    poset.write_text(STALE_POSET)
+    sidecar = tmp_path / "p.poset.families"
+    sidecar.write_text("dense d a a2 b\n")
+    assert run(capsys, "oracle", "--poset", str(poset), "--formula", TAUTOLOGY) == (0, "agree a a2 b t\n")
+    sidecar.unlink()
+    assert run(capsys, "oracle", "--poset", str(poset), "--formula", TAUTOLOGY) == (0, "agree a a2 b t\n")
+    assert main(["generic", "--poset", str(poset), "--from", "t", "--families", "d"]) == 2
+    assert "unknown family 'd'" in capsys.readouterr().err
+
+
+def test_an_unreadable_sidecar_exits_2(tmp_path, capsys):
+    poset = tmp_path / "p.poset"
+    poset.write_text(STALE_POSET)
+    (tmp_path / "p.poset.families").mkdir()
+    assert main(["oracle", "--poset", str(poset), "--formula", TAUTOLOGY]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "p.poset.families" in err and err.count("\n") == 1
+
+
 def test_edited_names_file_is_not_served_stale(tmp_path, capsys):
     poset = tmp_path / "p.poset"
     poset.write_text(STALE_POSET)

@@ -34,7 +34,7 @@ from forcinglab import (
 from forcinglab import forcing
 from forcinglab.forcing import ForcingContext, context_for
 from forcinglab.formulas import And, Check, Eq, ExistsIn, ForallIn, Imp, Mem, Not, Or
-from forcinglab.names import condition_codes, constant_value, hereditary_names
+from forcinglab.names import condition_codes, constant_value, hereditary_names, von_neumann
 from forcinglab.poset import Poset
 
 HF0 = frozenset()
@@ -435,6 +435,28 @@ def test_constant_values_are_built_once_per_context(P):
     assert ctx.eq_set(check_name(HF1, P), two) == 0
     assert ctx._mem.keys() == {(check_name(HF1, P), two)}
     assert len(ctx._eq) == 2
+
+
+def test_check_names_keep_their_value_by_reference():
+    # a check name's constant value is the set it was built from, so the
+    # naturals that gen codes are the von Neumann objects, not copies; the
+    # top is unique, so no check name built elsewhere from an equal set is
+    # shared with this poset
+    top = "by-reference-top"
+    ids = [f"c{i}" for i in range(12)]
+    Q = Poset("by-reference", ids + [top], top, [(c, top) for c in ids])
+    ctx = ForcingContext(Q)
+    ctx.constant(generic_name(Q))
+    naturals = [von_neumann(i) for i in range(len(Q))]
+    values = [v for v in ctx._constants.values() if v is not None]
+    assert len(values) == len(naturals)
+    assert {id(v) for v in values} == {id(x) for x in naturals}
+    for x in naturals:
+        assert ctx.constant(check_name(x, Q)) is x
+    # built under another top, its entries carry a non-greatest condition here
+    other = Poset("other-top", ["a", "u"], "u", [("a", "u")])
+    assert ForcingContext(other).constant(check_name(HF1, Q)) is None
+    assert ForcingContext(other).constant(check_name(HF0, Q)) == HF0
 
 
 def test_oracle_smoke(P, env):

@@ -209,27 +209,36 @@ def test_deep_hf_literal_prints():
 
 
 def test_a_dropped_formula_dies():
-    f = parse_formula("(and (mem dropped1 dropped2) (not (eq dropped2 dropped1)))")
+    texts = ["(and (mem dropped1 dropped2) (not (eq dropped2 dropped1)))"]
+    texts.append(texts[0].replace(" ", "  "))
+    f = parse_formula(texts[0])
+    assert parse_formula(texts[1]) is f
     refs = [weakref.ref(f), weakref.ref(f.left), weakref.ref(f.right.sub)]
     del f
     assert [r() for r in refs] == [None, None, None]
-    # and the intern table let go of their entries
+    # and the intern and text tables let go of their entries
     assert not [key for key in list(formulas._NODES.data) if "dropped1" in key]
+    assert not [text for text in texts if text in formulas._TEXTS]
 
 
 def test_threads_building_one_formula_get_one_object():
+    # each formula under two spellings, read in both orders, so threads race
+    # on one text's entry and on one formula's nodes
     texts = [f"(or (mem t{i} u{i}) (not (forall v in t{i} (eq v u{i}))))" for i in range(150)]
+    texts = [spelling for t in texts for spelling in (t, t.replace(" ", "  "))]
     workers = 8
     start = threading.Barrier(workers)
     results = [None] * workers
 
     def work(w):
         start.wait()
-        results[w] = [parse_formula(text) for text in texts]
+        order = texts if w % 2 else texts[::-1]
+        got = {text: parse_formula(text) for text in order}
+        results[w] = [got[text] for text in texts]
 
     def give_up_the_lock(frame, event, arg):
         # switch threads after every C call, so two threads race to build
-        # the same node
+        # the same node or store the same text
         if event == "c_return":
             time.sleep(0)
 
@@ -246,5 +255,53 @@ def test_threads_building_one_formula_get_one_object():
         threading.setprofile(None)
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
-    split = [t for i, t in enumerate(texts) if len({id(r[i]) for r in results}) != 1]
-    assert split == [], f"{len(split)} of {len(texts)} formulas came out as two or more objects"
+    groups = [{id(r[j]) for r in results for j in (i, i + 1)} for i in range(0, len(texts), 2)]
+    split = [texts[2 * g] for g, ids in enumerate(groups) if len(ids) != 1]
+    assert split == [], f"{len(split)} of {len(groups)} formulas came out as two or more objects"
+    assert all(formulas._TEXTS[text] is results[0][i] for i, text in enumerate(texts))
+
+
+def test_a_repeated_text_is_read_once(monkeypatch):
+    text = "(exists v in gen (and (mem v reread) (not (eq v (check #{#{}})))))"
+    f = parse_formula(text)
+    assert formulas._TEXTS[text] is f
+    reads = []
+    monkeypatch.setattr(formulas, "read_one", lambda t: reads.append(t) or read_one(t))
+    assert parse_formula(text) is f
+    assert reads == []
+    # another spelling of the same formula is read, and gives the same object
+    assert parse_formula(text.replace(" ", "  ")) is f
+    assert len(reads) == 1
+
+
+@settings(max_examples=1000, deadline=None)
+@given(FORMULA_TEXTS)
+def test_parse_formula_is_the_reader_and_builder(text):
+    # the table returns what reading would build, and fails as reading would
+    def parsed():
+        try:
+            return "ok", parse_formula(text)
+        except InputError as exc:
+            return "error", str(exc)
+
+    first = parsed()
+    assert first == _outcome(formula_from_sexpr, text)
+    if first[0] == "ok":
+        assert first[1] is formula_from_sexpr(read_one(text))
+        assert formulas._TEXTS[text] is first[1]
+    else:
+        assert text not in formulas._TEXTS
+    assert parsed() == first
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(mem a)", "(forall v on w (mem v w))", "(and (mem a b) (not (eq a", "(bogus)", "(mem a b) (eq a b)"],
+)
+def test_a_bad_text_raises_the_same_message_every_time(text):
+    with pytest.raises(InputError) as first:
+        parse_formula(text)
+    assert text not in formulas._TEXTS
+    with pytest.raises(InputError) as second:
+        parse_formula(text)
+    assert str(second.value) == str(first.value)
