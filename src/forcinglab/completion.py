@@ -5,15 +5,14 @@ U-perp collects the conditions incompatible with every member of U and
 ro = perp twice.  Meet is intersection, complement is perp, join is ro of
 the union.  Condition sets are carried as bitmasks over the base poset.
 
-Small algebras are materialized outright (they are generated by the atoms
-sitting over the minimal equivalence classes); larger ones stay lazy, with
-every operation normalizing through ro, and equality decided on normalized
-masks.
+Small algebras list their elements on first read (they are generated by
+the atoms sitting over the minimal equivalence classes); larger ones stay
+lazy, with every operation normalizing through ro, and equality decided on
+normalized masks.
 """
 
 from __future__ import annotations
 
-from .errors import InputError
 from .poset import Poset
 
 MATERIALIZE_CAP = 4096
@@ -22,9 +21,9 @@ MATERIALIZE_CAP = 4096
 class RegularOpenAlgebra:
     """The algebra of regular-open downward closed subsets of a poset."""
 
-    __slots__ = ("base", "atoms", "elements", "_emb")
+    __slots__ = ("base", "atoms", "_elements", "_emb")
 
-    def __init__(self, base: Poset, materialize_cap: int = MATERIALIZE_CAP):
+    def __init__(self, base: Poset):
         self.base = base
         seen: set[int] = set()
         atoms = []
@@ -39,18 +38,25 @@ class RegularOpenAlgebra:
             mm >>= 1
             i += 1
         self.atoms = tuple(atoms)
-        if 1 << len(atoms) <= materialize_cap:
+        self._elements: tuple[int, ...] | None = None
+        self._emb: dict[str, int] = {}
+
+    @property
+    def elements(self) -> tuple[int, ...] | None:
+        """Every element in increasing order, built on first read; None when
+        the algebra has more than ``MATERIALIZE_CAP`` elements."""
+        if 1 << len(self.atoms) > MATERIALIZE_CAP:
+            return None
+        if self._elements is None:
             elements = set()
-            for sub in range(1 << len(atoms)):
+            for sub in range(1 << len(self.atoms)):
                 u = 0
-                for j, a in enumerate(atoms):
+                for j, a in enumerate(self.atoms):
                     if sub >> j & 1:
                         u |= a
                 elements.add(self.ro(u))
-            self.elements: tuple[int, ...] | None = tuple(sorted(elements))
-        else:
-            self.elements = None
-        self._emb: dict[str, int] = {}
+            self._elements = tuple(sorted(elements))
+        return self._elements
 
     # -- Boolean structure -------------------------------------------------
 
@@ -92,11 +98,6 @@ class RegularOpenAlgebra:
             self._emb[p] = cached
         return cached
 
-    def element_ids(self, u: int) -> tuple[str, ...]:
-        if not self.is_element(u):
-            raise InputError("mask is not a regular-open element")
-        return self.base.ids_of(u)
 
-
-def boolean_completion(P: Poset, materialize_cap: int = MATERIALIZE_CAP) -> RegularOpenAlgebra:
-    return RegularOpenAlgebra(P, materialize_cap)
+def boolean_completion(P: Poset) -> RegularOpenAlgebra:
+    return RegularOpenAlgebra(P)

@@ -15,6 +15,12 @@ rules out extensions forcing both negations, implication is the negated
 conjunction form, the bounded universal intersects over entries, and the
 bounded existential asks for a dense set of entry-backed witnesses.
 
+The atomic and bounded-quantifier clauses each OR or AND one mask over all
+entries (for equality, over all names inside either side), so their loops
+take them in whatever order the sets hold them and stop only when the mask
+is full or empty: no order can change an answer, only the work done and
+what the memo tables keep.
+
 The independent check is purely semantic: on a finite poset the upward
 closure of a minimal condition meets every dense set, so evaluating a
 formula directly on the hereditarily finite interpretations of its names
@@ -33,7 +39,6 @@ and the per-filter walk kept in ``tests/helpers.py``.
 
 from __future__ import annotations
 
-import itertools
 import sys
 from typing import Iterable, Mapping, Optional
 
@@ -113,7 +118,6 @@ class ForcingContext:
         self._constants: dict[Name, Optional[HF]] = {}
         self._interp: list[dict[Name, HF]] = [{} for _ in range(self.nf)]
         self._validated: set[Name] = set()
-        self._entry_order: dict[Name, tuple] = {}
 
     # -- set combinators -----------------------------------------------------
 
@@ -137,10 +141,6 @@ class ForcingContext:
 
     def dense_below(self, S: int) -> int:
         """Conditions below which S is dense."""
-        if S == self.full:
-            return self.full
-        if S == 0:
-            return 0
         return self.avoid(self.avoid(S))
 
     # -- names ----------------------------------------------------------------
@@ -180,18 +180,6 @@ class ForcingContext:
 
     # -- atomic forcing sets ---------------------------------------------------
 
-    def _entries_of(self, y: Name) -> tuple[tuple, dict[int, tuple]]:
-        """Entries in rank order plus a rank-indexed view, cached per name."""
-        hit = self._entry_order.get(y)
-        if hit is None:
-            ordered = tuple(sorted(y.entries, key=lambda e: (e[0].rank, e[1])))
-            by_rank: dict[int, list] = {}
-            for entry in ordered:
-                by_rank.setdefault(entry[0].rank, []).append(entry)
-            hit = (ordered, {r: tuple(es) for r, es in by_rank.items()})
-            self._entry_order[y] = hit
-        return hit
-
     def mem_set(self, x: Name, y: Name) -> int:
         """Conditions forcing membership of x in y."""
         key = (x, y)
@@ -204,16 +192,11 @@ class ForcingContext:
             self._mem[key] = self.full if cx in cy else 0
             return self._mem[key]
         index = self.poset.index
-        ordered, by_rank = self._entries_of(y)
-        probe = by_rank.get(x.rank, ())
         S = 0
-        for entry in itertools.chain(probe, ordered):
-            child, cond = entry
-            eq = self.eq_set(x, child)
-            if eq:
-                S |= self.down[index[cond]] & eq
-                if S == self.full:
-                    break
+        for child, cond in y.entries:
+            S |= self.down[index[cond]] & self.eq_set(x, child)
+            if S == self.full:
+                break
         result = self.dense_below(S)
         self._mem[key] = result
         return result
@@ -230,35 +213,12 @@ class ForcingContext:
         if cx is not None and (cy := self.constant(y)) is not None:
             self._eq[key] = self._eq[(y, x)] = self.full if cx == cy else 0
             return self._eq[key]
-        hx = hereditary_names(x)
-        hy = hereditary_names(y)
         U = 0
-        result: Optional[int] = None
-        count = 0
-
-        def witnesses():
-            # names on one side only distinguish fastest; shared ones last
-            for z in hx:
-                if z not in hy:
-                    yield z
-            for z in hy:
-                if z not in hx:
-                    yield z
-            for z in hx:
-                if z in hy:
-                    yield z
-
-        for z in witnesses():
+        for z in hereditary_names(x) | hereditary_names(y):
             U |= self.mem_set(z, x) ^ self.mem_set(z, y)
             if U == self.full:
-                result = 0
                 break
-            count += 1
-            if count % 8 == 0 and self.avoid(U) == 0:
-                result = 0
-                break
-        if result is None:
-            result = self.avoid(U)
+        result = self.avoid(U)
         self._eq[key] = result
         self._eq[(y, x)] = result
         return result
@@ -309,7 +269,7 @@ class ForcingContext:
         elif isinstance(f, ForallIn):
             w = self._resolve(f.bound, env, binds)
             out = self.full
-            for child, cond in sorted(w.entries, key=lambda e: e[1]):
+            for child, cond in w.entries:
                 sub = self.forces_set(f.body, env, {**binds, f.var: child})
                 out &= self.avoid(down[index[cond]] & ~sub & self.full)
                 if not out:
@@ -317,7 +277,7 @@ class ForcingContext:
         elif isinstance(f, ExistsIn):
             w = self._resolve(f.bound, env, binds)
             S = 0
-            for child, cond in sorted(w.entries, key=lambda e: e[1]):
+            for child, cond in w.entries:
                 S |= down[index[cond]] & self.forces_set(f.body, env, {**binds, f.var: child})
                 if S == self.full:
                     break
@@ -364,7 +324,7 @@ class ForcingContext:
         elif isinstance(f, ForallIn):
             w = self._resolve(f.bound, env, binds)
             out = self.filter_full
-            for child, cond in sorted(w.entries, key=lambda e: e[1]):
+            for child, cond in w.entries:
                 guard = self.cond_filters[index[cond]]
                 sub = self.oracle_mask(f.body, env, {**binds, f.var: child})
                 out &= (~guard | sub) & self.filter_full
@@ -373,7 +333,7 @@ class ForcingContext:
         elif isinstance(f, ExistsIn):
             w = self._resolve(f.bound, env, binds)
             out = 0
-            for child, cond in sorted(w.entries, key=lambda e: e[1]):
+            for child, cond in w.entries:
                 guard = self.cond_filters[index[cond]]
                 out |= guard & self.oracle_mask(f.body, env, {**binds, f.var: child})
                 if out == self.filter_full:

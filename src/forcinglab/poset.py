@@ -187,10 +187,6 @@ class Poset:
         return len(self.ids)
 
     @property
-    def conditions(self) -> tuple[str, ...]:
-        return self.ids
-
-    @property
     def full_mask(self) -> int:
         return self._full
 

@@ -55,7 +55,8 @@ class FinFamily:
     """A family of nonempty subsets of {0..universe_size-1}.
 
     ``_masks`` holds each member as a bitmask (bit x for element x), built
-    once, so a prefix test grows one OR and looks it up."""
+    once, so the accept/reject tests (``_prefix_mask``, ``_hits``) grow a
+    prefix one OR at a time and look it up."""
 
     universe_size: int
     members: frozenset[frozenset[int]]
@@ -70,20 +71,6 @@ class FinFamily:
                 raise InputError("family members must live inside the universe")
             masks.add(_mask(m))
         object.__setattr__(self, "_masks", frozenset(masks))
-
-    def has_prefix(self, s: Sequence[int]) -> bool:
-        """Does some initial segment of the increasing enumeration of s belong
-        to the family?"""
-        masks = self._masks
-        rest = _mask(s)
-        acc = 0
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            acc |= low
-            if acc in masks:
-                return True
-        return False
 
 
 def _mask(xs: Iterable[int]) -> int:

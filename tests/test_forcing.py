@@ -379,6 +379,35 @@ def test_a_deep_formula_does_not_crash_the_interpreter():
     assert proc.returncode in (0, 2), (proc.returncode, proc.stderr[-2000:])
 
 
+_HASH_ORDER_SCRIPT = """
+from forcinglab import zoo
+from forcinglab.forcing import context_for
+from helpers import canonical_env, formula_corpus
+
+P, _ = zoo.cohen(1, 2)
+ctx = context_for(P)
+env = canonical_env(P)
+for f in formula_corpus():
+    print(ctx.forces_set(f, env), ctx.oracle_condition_set(f, env))
+"""
+
+
+def test_answers_do_not_depend_on_hash_order():
+    # name entries and the names inside a name are frozensets, so the loops
+    # over them follow the hash seed; the answers must not
+    src = str(Path(forcing.__file__).parents[1])
+    path = os.pathsep.join([src, str(Path(__file__).parent)])
+    outputs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_ORDER_SCRIPT], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outputs.append(proc.stdout.splitlines())
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
 def _reference_corpus(Q):
     """Check names of every set of rank below 4 and of the condition codes,
     gen, and mixed names holding constant subtrees under non-top
@@ -396,12 +425,13 @@ def _reference_corpus(Q):
     return pool
 
 
-def test_constant_shortcuts_match_the_recursion(small_corpus):
+def test_constant_shortcuts_match_the_recursion(small_corpus, cohen12, collapse22):
     # constant names are decided by value in both routes; the references
-    # decide them by the plain recursion and the per-filter walk
+    # decide them by the plain recursion and the per-filter walk; on the two
+    # bundled forcings an equality with gen ranges over more than eight names
     from helpers import AtomicReference, interpret_reference
 
-    for Q in small_corpus:
+    for Q in list(small_corpus) + [cohen12[0], collapse22[0]]:
         ctx = ForcingContext(Q)
         ref = AtomicReference(ctx)
         pool = _reference_corpus(Q)

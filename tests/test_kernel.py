@@ -82,7 +82,7 @@ def test_set_combinators_match_naive(P, data):
     for i in range(n):
         assert compat[i] == sum(1 << j for j in range(n) if down[i] & down[j])
     ctx = ForcingContext(P)
-    A = RegularOpenAlgebra(P, materialize_cap=1)
+    A = RegularOpenAlgebra(P)
     for S in condition_sets(data, P):
         assert P.up_kernel().union(S) == naive_union(P._up, S)
         assert P.compat_kernel().union(S) == naive_union(compat, S)
