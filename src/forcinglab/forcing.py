@@ -1,31 +1,38 @@
 """The forcing relation over a finite poset, plus its semantic cross-check.
 
-Instead of deciding one (condition, formula) query at a time, every formula
-is evaluated to the full set of conditions forcing it, carried as a bitmask.
-The atomic clauses run by simultaneous recursion on rank:
+On a finite poset the regular-open algebra RO(P) is atomic, with one atom per
+minimal filter: a regular-open set is fixed by the minimal filters whose
+witness lies in it.  So every formula is evaluated to its Boolean value
+``||f||`` in RO(P), carried as a bitmask over minimal filters, by the
+Boolean-valued model's recursion on rank (Jech, *Set Theory*, 2003, ch. 14).
+Writing ``e(q)`` for the minimal filters containing condition ``q``:
 
-* ``p`` forces ``x = y`` when no extension of ``p`` separates the two names
-  by a membership question drawn from the names occurring inside them;
-* ``p`` forces ``x in y`` when the extensions of ``p`` that sit below some
-  entry condition of ``y`` while forcing equality of ``x`` with that entry
-  are dense below ``p``.
+* ``||x in y||`` is the OR, over the entries ``(z, q)`` of ``y``, of
+  ``e(q) & ||x = z||``;
+* ``||x = y||`` is the AND, over the entries ``(z, q)`` of ``x``, of
+  ``~e(q) | ||z in y||``, and the same with ``x`` and ``y`` swapped.
 
-Negation is "no extension forces it", conjunction intersects, disjunction
-rules out extensions forcing both negations, implication is the negated
-conjunction form, the bounded universal intersects over entries, and the
-bounded existential asks for a dense set of entry-backed witnesses.
+Negation is complement, conjunction and disjunction are AND and OR,
+implication is ``~a | b``, and a bounded quantifier ANDs (universal) or ORs
+(existential) its body, guarded by ``e(q)``, over the entries ``(z, q)`` of
+its bound.  Each of these loops takes the entries in whatever order the set
+holds them and stops only when the mask is full or empty (equality takes
+the name with fewer entries first): no order can change an answer, only the
+work done and what the memo tables keep.
 
-The atomic and bounded-quantifier clauses each OR or AND one mask over all
-entries (for equality, over all names inside either side), so their loops
-take them in whatever order the sets hold them and stop only when the mask
-is full or empty: no order can change an answer, only the work done and
-what the memo tables keep.
+Back to conditions: ``p`` forces ``f`` exactly when ``e(p)`` lies inside
+``||f||``, so the conditions forcing ``f`` are those in no minimal filter
+missing from ``||f||``, one kernel union over the filter masks.  ``forces``
+and ``decides`` read the filter mask directly.
 
 The independent check is purely semantic: on a finite poset the upward
 closure of a minimal condition meets every dense set, so evaluating a
 formula directly on the hereditarily finite interpretations of its names
 under every such filter decides everything.  ``p`` semantically forces a
 formula when it evaluates true under every minimal filter through ``p``.
+The oracle shares the connectives and quantifiers above, and differs from
+the forcing route in its atomic clauses alone; ``tests/helpers.py`` keeps
+the forcing recursion over condition masks as the reference for the rest.
 The two routes are compared set-for-set in the tests.
 
 A constant (check-shaped) name denotes the same HF set under every filter,
@@ -40,17 +47,13 @@ and the per-filter walk kept in ``tests/helpers.py``.
 from __future__ import annotations
 
 import sys
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .completion import RegularOpenAlgebra
 from .errors import ForcingLabError, InputError
 from .formulas import And, Check, Eq, ExistsIn, ForallIn, Formula, Imp, Mem, Not, Or, Term
 from .names import HF, Name, _constant_value, _interpret, check_name, hereditary_names, validate_name
 from .poset import Poset, RowUnion
-
-# Entries per generation of a context's avoid table; at most two generations
-# are kept, so a table holds at most twice this many masks.
-_AVOID_BUDGET = 1024
 
 
 def context_for(P: Poset) -> "ForcingContext":
@@ -62,7 +65,17 @@ def context_for(P: Poset) -> "ForcingContext":
 
 
 class ForcingContext:
-    """Per-poset memo tables for atomic sets, formula sets, and the oracle.
+    """Per-poset memo tables for atomic values, formula values, and the oracle.
+
+    ``value`` evaluates a formula to its Boolean value in RO(P), a mask over
+    the minimal filters (its atoms), by the recursion in the module
+    docstring.  A condition ``p`` forces the formula exactly when
+    ``cond_filters[p]`` lies inside that mask; ``_back`` turns a value into
+    the set of conditions forcing it, for the condition-mask readers.
+
+    Every table holds filter masks: ``_mem`` and ``_eq`` the values of the
+    atomic formulas on two names, ``_forces`` the values of formulas, and
+    ``_oracle`` the filters under which a formula evaluates true.
 
     A formula's entry is keyed on the formula and the names its free
     variables denote, so equal environments share entries whatever mapping
@@ -72,24 +85,14 @@ class ForcingContext:
     memo entry is a function of its key alone, so two writes of one key store
     the same value.  On CPython with the global interpreter lock, threads
     sharing one context get the answers a single thread gets
-    (``tests/test_forcing.py`` checks this with 8 threads).
-
-    ``avoid`` keeps its answers in a bounded table of two generations,
-    ``_avoid`` (young) and ``_avoid_old``, keyed on the mask.  A miss in the
-    young dict is looked up in the old one, else computed, and written to
-    the young one; when the young dict holds ``_AVOID_BUDGET`` entries it
-    becomes the old one and the previous old one is dropped.  The answer is
-    a function of the mask alone, so these writes are idempotent too: a
-    race between threads can at worst drop a generation early or let one
-    hold an entry more per thread, never store a wrong answer.  The other
-    tables are not bounded yet.
+    (``tests/test_forcing.py`` checks this with 8 threads).  The tables are
+    not bounded yet.
     """
 
     def __init__(self, P: Poset):
         sys.setrecursionlimit(max(sys.getrecursionlimit(), 50000))
         self.poset = P
         self.n = len(P)
-        self.down = P.down_masks()
         self.full = P.full_mask
         filters = P.minimal_filters()
         self.filter_witnesses = tuple(w for w, _ in filters)
@@ -107,8 +110,6 @@ class ForcingContext:
                 m ^= low
         self.cond_filters = cond_filters
         self._filter_kernel: Optional[RowUnion] = None
-        self._avoid: dict[int, int] = {}
-        self._avoid_old: dict[int, int] = {}
         self._mem: dict[tuple[Name, Name], int] = {}
         self._eq: dict[tuple[Name, Name], int] = {}
         self._forces: dict[tuple, int] = {}
@@ -119,29 +120,17 @@ class ForcingContext:
         self._interp: list[dict[Name, HF]] = [{} for _ in range(self.nf)]
         self._validated: set[Name] = set()
 
-    # -- set combinators -----------------------------------------------------
-
-    def avoid(self, S: int) -> int:
-        """Conditions with no extension in S."""
-        if S == 0:
+    def _back(self, V: int) -> int:
+        """Conditions all of whose minimal filters are in the filter mask V:
+        those forcing a formula of value V.  Every condition lies in some
+        minimal filter, so the empty mask gives no condition."""
+        if V == self.filter_full:
             return self.full
-        if S == self.full:
+        if not V:
             return 0
-        out = self._avoid.get(S)
-        if out is None:
-            out = self._avoid_old.get(S)
-            if out is None:
-                out = self.full & ~self.poset.up_kernel().union(S)
-            young = self._avoid
-            young[S] = out
-            if len(young) >= _AVOID_BUDGET:
-                self._avoid_old = young
-                self._avoid = {}
-        return out
-
-    def dense_below(self, S: int) -> int:
-        """Conditions below which S is dense."""
-        return self.avoid(self.avoid(S))
+        if self._filter_kernel is None:
+            self._filter_kernel = RowUnion(self.filter_masks)
+        return self.full & ~self._filter_kernel.union(~V & self.filter_full)
 
     # -- names ----------------------------------------------------------------
 
@@ -178,10 +167,9 @@ class ForcingContext:
             value = _interpret(name, members, self.poset.index, self._interp[fidx], self._constants)
         return value
 
-    # -- atomic forcing sets ---------------------------------------------------
+    # -- atomic values -----------------------------------------------------------
 
-    def mem_set(self, x: Name, y: Name) -> int:
-        """Conditions forcing membership of x in y."""
+    def _mem_value(self, x: Name, y: Name) -> int:
         key = (x, y)
         hit = self._mem.get(key)
         if hit is not None:
@@ -189,41 +177,56 @@ class ForcingContext:
         cy = self.constant(y)
         if cy is not None and (cx := self.constant(x)) is not None:
             # the check-name lemma: forced everywhere or nowhere, by the values
-            self._mem[key] = self.full if cx in cy else 0
+            self._mem[key] = self.filter_full if cx in cy else 0
             return self._mem[key]
         index = self.poset.index
-        S = 0
+        cond_filters = self.cond_filters
+        V = 0
         for child, cond in y.entries:
-            S |= self.down[index[cond]] & self.eq_set(x, child)
-            if S == self.full:
+            V |= cond_filters[index[cond]] & self._eq_value(x, child)
+            if V == self.filter_full:
                 break
-        result = self.dense_below(S)
-        self._mem[key] = result
-        return result
+        self._mem[key] = V
+        return V
 
-    def eq_set(self, x: Name, y: Name) -> int:
-        """Conditions forcing equality of x and y."""
+    def _eq_value(self, x: Name, y: Name) -> int:
         if x == y:
-            return self.full
+            return self.filter_full
         key = (x, y)
         hit = self._eq.get(key)
         if hit is not None:
             return hit
         cx = self.constant(x)
         if cx is not None and (cy := self.constant(y)) is not None:
-            self._eq[key] = self._eq[(y, x)] = self.full if cx == cy else 0
+            self._eq[key] = self._eq[(y, x)] = self.filter_full if cx == cy else 0
             return self._eq[key]
-        U = 0
-        for z in hereditary_names(x) | hereditary_names(y):
-            U |= self.mem_set(z, x) ^ self.mem_set(z, y)
-            if U == self.full:
+        index = self.poset.index
+        cond_filters = self.cond_filters
+        # the name with fewer entries first: an empty mask skips the other
+        a, b = (x, y) if len(x.entries) <= len(y.entries) else (y, x)
+        V = self.filter_full
+        for s, t in ((a, b), (b, a)):
+            for child, cond in s.entries:
+                V &= ~cond_filters[index[cond]] | self._mem_value(child, t)
+                if not V:
+                    break
+            if not V:
                 break
-        result = self.avoid(U)
-        self._eq[key] = result
-        self._eq[(y, x)] = result
-        return result
+        self._eq[key] = self._eq[(y, x)] = V
+        return V
 
-    # -- formula forcing sets ----------------------------------------------
+    def _atom(self, is_mem: bool, x: Name, y: Name) -> int:
+        return self._mem_value(x, y) if is_mem else self._eq_value(x, y)
+
+    def mem_set(self, x: Name, y: Name) -> int:
+        """Conditions forcing membership of x in y."""
+        return self._back(self._mem_value(x, y))
+
+    def eq_set(self, x: Name, y: Name) -> int:
+        """Conditions forcing equality of x and y."""
+        return self._back(self._eq_value(x, y))
+
+    # -- formula values ------------------------------------------------------
 
     def _key(self, f: Formula, env: Mapping[str, Name], binds: dict[str, Name]) -> tuple:
         """f with the names its free variables denote, in sorted order; a
@@ -241,113 +244,84 @@ class ForcingContext:
         # the node's key has resolved the term and its name was validated
         return binds[term] if term in binds else env[term]
 
-    def forces_set(self, f: Formula, env: Mapping[str, Name], binds: Optional[dict[str, Name]] = None) -> int:
-        binds = binds or {}
+    def _eval(
+        self,
+        f: Formula,
+        env: Mapping[str, Name],
+        binds: dict[str, Name],
+        table: dict[tuple, int],
+        atom: Callable[[bool, Name, Name], int],
+    ) -> int:
+        """The filter mask of f, memoised in table; ``atom(is_mem, x, y)``
+        gives the mask of an atomic formula on two names."""
         key = self._key(f, env, binds)
-        hit = self._forces.get(key)
+        hit = table.get(key)
         if hit is not None:
             return hit
         for name in key[1]:
             self.require_valid(name)
-        down = self.down
-        index = self.poset.index
-        if isinstance(f, Mem):
-            out = self.mem_set(self._resolve(f.left, env, binds), self._resolve(f.right, env, binds))
-        elif isinstance(f, Eq):
-            out = self.eq_set(self._resolve(f.left, env, binds), self._resolve(f.right, env, binds))
-        elif isinstance(f, Not):
-            out = self.avoid(self.forces_set(f.sub, env, binds))
-        elif isinstance(f, And):
-            out = self.forces_set(f.left, env, binds) & self.forces_set(f.right, env, binds)
-        elif isinstance(f, Or):
-            na = self.avoid(self.forces_set(f.left, env, binds))
-            nb = self.avoid(self.forces_set(f.right, env, binds))
-            out = self.avoid(na & nb)
-        elif isinstance(f, Imp):
-            nb = self.avoid(self.forces_set(f.right, env, binds))
-            out = self.avoid(self.forces_set(f.left, env, binds) & nb)
-        elif isinstance(f, ForallIn):
-            w = self._resolve(f.bound, env, binds)
-            out = self.full
-            for child, cond in w.entries:
-                sub = self.forces_set(f.body, env, {**binds, f.var: child})
-                out &= self.avoid(down[index[cond]] & ~sub & self.full)
-                if not out:
-                    break
-        elif isinstance(f, ExistsIn):
-            w = self._resolve(f.bound, env, binds)
-            S = 0
-            for child, cond in w.entries:
-                S |= down[index[cond]] & self.forces_set(f.body, env, {**binds, f.var: child})
-                if S == self.full:
-                    break
-            out = self.dense_below(S)
-        self._forces[key] = out
-        return out
-
-    # -- semantic oracle -------------------------------------------------------
-
-    def oracle_mask(self, f: Formula, env: Mapping[str, Name], binds: Optional[dict[str, Name]] = None) -> int:
-        """Bitmask over minimal filters under which f evaluates true."""
-        binds = binds or {}
-        key = self._key(f, env, binds)
-        hit = self._oracle.get(key)
-        if hit is not None:
-            return hit
-        for name in key[1]:
-            self.require_valid(name)
+        full = self.filter_full
         index = self.poset.index
         if isinstance(f, (Mem, Eq)):
-            ln = self._resolve(f.left, env, binds)
-            rn = self._resolve(f.right, env, binds)
-            lc, rc = self.constant(ln), self.constant(rn)
-            if lc is not None and rc is not None:
-                # the check-name lemma: true under every filter or under none
-                holds = lc in rc if isinstance(f, Mem) else lc == rc
-                out = self.filter_full if holds else 0
-            else:
-                out = 0
-                for fidx in range(self.nf):
-                    lv = self.interp(ln, fidx)
-                    rv = self.interp(rn, fidx)
-                    holds = lv in rv if isinstance(f, Mem) else lv == rv
-                    if holds:
-                        out |= 1 << fidx
+            out = atom(isinstance(f, Mem), self._resolve(f.left, env, binds), self._resolve(f.right, env, binds))
         elif isinstance(f, Not):
-            out = ~self.oracle_mask(f.sub, env, binds) & self.filter_full
+            out = ~self._eval(f.sub, env, binds, table, atom) & full
         elif isinstance(f, And):
-            out = self.oracle_mask(f.left, env, binds) & self.oracle_mask(f.right, env, binds)
+            out = self._eval(f.left, env, binds, table, atom) & self._eval(f.right, env, binds, table, atom)
         elif isinstance(f, Or):
-            out = self.oracle_mask(f.left, env, binds) | self.oracle_mask(f.right, env, binds)
+            out = self._eval(f.left, env, binds, table, atom) | self._eval(f.right, env, binds, table, atom)
         elif isinstance(f, Imp):
-            out = (~self.oracle_mask(f.left, env, binds) | self.oracle_mask(f.right, env, binds)) & self.filter_full
+            left = self._eval(f.left, env, binds, table, atom)
+            out = (~left | self._eval(f.right, env, binds, table, atom)) & full
         elif isinstance(f, ForallIn):
             w = self._resolve(f.bound, env, binds)
-            out = self.filter_full
+            out = full
             for child, cond in w.entries:
-                guard = self.cond_filters[index[cond]]
-                sub = self.oracle_mask(f.body, env, {**binds, f.var: child})
-                out &= (~guard | sub) & self.filter_full
+                sub = self._eval(f.body, env, {**binds, f.var: child}, table, atom)
+                out &= ~self.cond_filters[index[cond]] | sub
                 if not out:
                     break
         elif isinstance(f, ExistsIn):
             w = self._resolve(f.bound, env, binds)
             out = 0
             for child, cond in w.entries:
-                guard = self.cond_filters[index[cond]]
-                out |= guard & self.oracle_mask(f.body, env, {**binds, f.var: child})
-                if out == self.filter_full:
+                out |= self.cond_filters[index[cond]] & self._eval(f.body, env, {**binds, f.var: child}, table, atom)
+                if out == full:
                     break
-        self._oracle[key] = out
+        table[key] = out
         return out
+
+    def value(self, f: Formula, env: Mapping[str, Name], binds: Optional[dict[str, Name]] = None) -> int:
+        """The Boolean value of f in RO(P), as a bitmask over minimal filters."""
+        return self._eval(f, env, binds or {}, self._forces, self._atom)
+
+    def forces_set(self, f: Formula, env: Mapping[str, Name], binds: Optional[dict[str, Name]] = None) -> int:
+        """Conditions forcing f."""
+        return self._back(self.value(f, env, binds))
+
+    # -- semantic oracle -------------------------------------------------------
+
+    def _oracle_atom(self, is_mem: bool, x: Name, y: Name) -> int:
+        cx, cy = self.constant(x), self.constant(y)
+        if cx is not None and cy is not None:
+            # the check-name lemma: true under every filter or under none
+            holds = cx in cy if is_mem else cx == cy
+            return self.filter_full if holds else 0
+        out = 0
+        for fidx in range(self.nf):
+            xv = self.interp(x, fidx)
+            yv = self.interp(y, fidx)
+            if xv in yv if is_mem else xv == yv:
+                out |= 1 << fidx
+        return out
+
+    def oracle_mask(self, f: Formula, env: Mapping[str, Name], binds: Optional[dict[str, Name]] = None) -> int:
+        """Bitmask over minimal filters under which f evaluates true."""
+        return self._eval(f, env, binds or {}, self._oracle, self._oracle_atom)
 
     def oracle_condition_set(self, f: Formula, env: Mapping[str, Name]) -> int:
         """Conditions p such that f holds under every minimal filter through p."""
-        M = self.oracle_mask(f, env)
-        missing = ~M & self.filter_full
-        if self._filter_kernel is None:
-            self._filter_kernel = RowUnion(self.filter_masks)
-        return self.full & ~self._filter_kernel.union(missing)
+        return self._back(self.oracle_mask(f, env))
 
 
 # -- public operations ----------------------------------------------------
@@ -368,7 +342,7 @@ def forces_atomic(P: Poset, p: str, kind: str, x: Name, y: Name) -> bool:
 
 def forces(P: Poset, p: str, f: Formula, env: Mapping[str, Name]) -> bool:
     ctx = context_for(P)
-    return bool(ctx.forces_set(f, env) >> P.check_condition(p) & 1)
+    return not ctx.cond_filters[P.check_condition(p)] & ~ctx.value(f, env)
 
 
 def forces_set(P: Poset, f: Formula, env: Mapping[str, Name]) -> frozenset[str]:
@@ -384,11 +358,11 @@ UNDECIDED = "undecided"
 def decides(P: Poset, p: str, f: Formula, env: Mapping[str, Name]) -> str:
     """Which of p forcing f, p forcing its negation, or neither, holds."""
     ctx = context_for(P)
-    mask = ctx.forces_set(f, env)
-    pi = P.check_condition(p)
-    if mask >> pi & 1:
+    V = ctx.value(f, env)
+    e = ctx.cond_filters[P.check_condition(p)]
+    if not e & ~V:
         return FORCES
-    if not ctx.down[pi] & mask:
+    if not e & V:
         return FORCES_NEGATION
     return UNDECIDED
 
@@ -409,7 +383,7 @@ def decide_name_value(P: Poset, p: str, y: Name) -> list[tuple[str, HF]]:
             continue
         z = ctx.interp(y, fidx)
         zname = check_name(z, P)
-        if not ctx.eq_set(y, zname) >> P.check_condition(w) & 1:
+        if ctx.cond_filters[P.index[w]] & ~ctx._eq_value(y, zname):
             raise ForcingLabError(
                 f"decision check failed: {w!r} does not force the computed value of the name"
             )

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from forcinglab import Poset
 from forcinglab.errors import InputError
-from forcinglab.formulas import And, Eq, ExistsIn, ForallIn, Imp, Mem, Not, Or
+from forcinglab.formulas import And, Check, Eq, ExistsIn, ForallIn, Imp, Mem, Not, Or
 from forcinglab.names import Name, check_name, generic_name, hereditary_names
 from forcinglab.ramsey import (
     ACCEPTS,
@@ -303,14 +303,15 @@ def quantifier_bounds_small(f, env, cap: int = 64) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# names and atomic forcing
+# names and forcing sets
 # ---------------------------------------------------------------------------
 #
-# The per-filter interpretation walk and the rank recursion of the atomic
-# forcing sets, with no constants table: every name is interpreted under
+# The per-filter interpretation walk and the forcing recursion over
+# condition masks, with no constants table: every name is interpreted under
 # each filter on its own, and two constant names go through the same
 # recursion as any others.  ``ForcingContext.interp``, ``mem_set``,
-# ``eq_set`` and the atoms of ``oracle_mask`` must agree with these.
+# ``eq_set``, ``forces_set`` and the atoms of ``oracle_mask`` must agree
+# with these.
 
 
 def interpret_reference(n: Name, members: int, index, memo: dict) -> frozenset:
@@ -324,37 +325,92 @@ def interpret_reference(n: Name, members: int, index, memo: dict) -> frozenset:
     return memo[n]
 
 
-class AtomicReference:
-    """``mem_set`` and ``eq_set`` by the rank recursion alone, with no early
-    exit, on a context's down-sets but with memo tables of its own and an
-    ``avoid`` that calls the kernel every time, past the context's table."""
+class ForcingReference:
+    """Forcing sets over condition masks, by the clauses of the forcing
+    relation, on P's down-sets, with memo tables of their own.
 
-    def __init__(self, ctx):
-        self.ctx = ctx
+    ``mem_set`` and ``eq_set`` run the rank recursion alone, with no early
+    exit and no constant shortcut; ``eq_set`` asks about every name inside
+    either side.  ``forces_set`` takes each connective and bounded
+    quantifier by its clause: negation as ``avoid``, disjunction and the
+    existential through ``dense_below``.  ``avoid`` calls the kernel every
+    time.  ``ForcingContext`` evaluates over minimal filters instead, and
+    its condition-mask readers must agree with these."""
+
+    def __init__(self, P: Poset):
+        self.P = P
+        self.full = P.full_mask
+        self.down = P.down_masks()
         self.mem: dict = {}
         self.eq: dict = {}
+        self.forces: dict = {}
 
     def avoid(self, S: int) -> int:
-        return self.ctx.full & ~self.ctx.poset.up_kernel().union(S)
+        """Conditions with no extension in S."""
+        return self.full & ~self.P.up_kernel().union(S)
+
+    def dense_below(self, S: int) -> int:
+        """Conditions below which S is dense."""
+        return self.avoid(self.avoid(S))
 
     def mem_set(self, x: Name, y: Name) -> int:
         if (x, y) not in self.mem:
-            ctx = self.ctx
             S = 0
             for child, cond in y.entries:
-                S |= ctx.down[ctx.poset.index[cond]] & self.eq_set(x, child)
-            self.mem[(x, y)] = self.avoid(self.avoid(S))
+                S |= self.down[self.P.index[cond]] & self.eq_set(x, child)
+            self.mem[(x, y)] = self.dense_below(S)
         return self.mem[(x, y)]
 
     def eq_set(self, x: Name, y: Name) -> int:
         if x == y:
-            return self.ctx.full
+            return self.full
         if (x, y) not in self.eq:
             U = 0
             for z in hereditary_names(x) | hereditary_names(y):
                 U |= self.mem_set(z, x) ^ self.mem_set(z, y)
             self.eq[(x, y)] = self.avoid(U)
         return self.eq[(x, y)]
+
+    def forces_set(self, f, env, binds=None) -> int:
+        binds = binds or {}
+
+        def resolve(t):
+            if isinstance(t, Check):
+                return check_name(t.value, self.P)
+            return binds[t] if t in binds else env[t]
+
+        key = (f, tuple(resolve(v) for v in f.free))
+        if key in self.forces:
+            return self.forces[key]
+        if isinstance(f, Mem):
+            out = self.mem_set(resolve(f.left), resolve(f.right))
+        elif isinstance(f, Eq):
+            out = self.eq_set(resolve(f.left), resolve(f.right))
+        elif isinstance(f, Not):
+            out = self.avoid(self.forces_set(f.sub, env, binds))
+        elif isinstance(f, And):
+            out = self.forces_set(f.left, env, binds) & self.forces_set(f.right, env, binds)
+        elif isinstance(f, Or):
+            na = self.avoid(self.forces_set(f.left, env, binds))
+            nb = self.avoid(self.forces_set(f.right, env, binds))
+            out = self.avoid(na & nb)
+        elif isinstance(f, Imp):
+            nb = self.avoid(self.forces_set(f.right, env, binds))
+            out = self.avoid(self.forces_set(f.left, env, binds) & nb)
+        elif isinstance(f, ForallIn):
+            out = self.full
+            for child, cond in resolve(f.bound).entries:
+                sub = self.forces_set(f.body, env, {**binds, f.var: child})
+                out &= self.avoid(self.down[self.P.index[cond]] & ~sub & self.full)
+        elif isinstance(f, ExistsIn):
+            S = 0
+            for child, cond in resolve(f.bound).entries:
+                S |= self.down[self.P.index[cond]] & self.forces_set(f.body, env, {**binds, f.var: child})
+            out = self.dense_below(S)
+        else:
+            raise TypeError(f"not a formula node: {f!r}")
+        self.forces[key] = out
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from forcinglab import (
     soundness_disagreements,
     truth_value,
 )
-from forcinglab import forcing
+from forcinglab import forcing, zoo
 from forcinglab.forcing import ForcingContext, context_for
 from forcinglab.formulas import And, Check, Eq, ExistsIn, ForallIn, Imp, Mem, Not, Or
 from forcinglab.names import condition_codes, constant_value, hereditary_names, von_neumann
@@ -183,14 +183,15 @@ def test_minimal_conditions_decide_everything(P, corpus_formulas):
 
 
 def test_density_of_decision(small_corpus, corpus_formulas):
-    from helpers import canonical_env
+    from helpers import ForcingReference, canonical_env
 
     for Q in small_corpus[:12]:
         env = canonical_env(Q)
         ctx = context_for(Q)
+        ref = ForcingReference(Q)
         for f in corpus_formulas[:300]:
             mask = ctx.forces_set(f, env)
-            deciding = mask | ctx.avoid(mask)
+            deciding = mask | ref.avoid(mask)
             # every condition has an extension that decides
             assert all(Q.down_mask(p) & deciding for p in Q.ids)
 
@@ -278,57 +279,9 @@ def test_forcing_sets_are_regular_open(small_corpus, corpus_formulas):
             mask = ctx.forces_set(f, env)
             assert A.is_element(mask), (Q.name, f)
             assert tv == A.ro(mask), (Q.name, f)
-        # and every subformula under every quantifier binding met on the way
-        assert all(A.is_element(mask) for mask in set(ctx._forces.values())), Q.name
-
-
-def _kernel_avoid(ctx, S):
-    return ctx.full & ~ctx.poset.up_kernel().union(S)
-
-
-def test_avoid_table_matches_the_kernel(cohen12, corpus_formulas, monkeypatch):
-    # every mask the formula corpus passes to avoid on cohen(1,2), then
-    # seeded random masks; a small budget makes the table rotate on 9 conditions
-    from helpers import canonical_env
-
-    budget = 64
-    monkeypatch.setattr(forcing, "_AVOID_BUDGET", budget)
-    P = cohen12[0]
-    ctx = ForcingContext(P)
-    seen = []
-    table_avoid = ctx.avoid
-
-    def recording(S):
-        seen.append(S)
-        return table_avoid(S)
-
-    ctx.avoid = recording
-    env = canonical_env(P)
-    for f in corpus_formulas:
-        ctx.forces_set(f, env)
-    del ctx.avoid
-    rng = random.Random(13)
-    masks = list(dict.fromkeys(seen)) + [rng.getrandbits(len(P)) for _ in range(2000)]
-    assert len(set(masks)) > 4 * budget
-    for _ in range(2):
-        # the second pass reads what the first left after many rotations
-        for S in masks:
-            assert ctx.avoid(S) == _kernel_avoid(ctx, S), S
-            assert len(ctx._avoid) < budget and len(ctx._avoid_old) <= budget
-
-
-def test_avoid_table_stays_within_its_budget(mathias6):
-    ctx = ForcingContext(mathias6)
-    budget = forcing._AVOID_BUDGET
-    rng = random.Random(29)
-    masks = list(dict.fromkeys(rng.getrandbits(len(mathias6)) for _ in range(5000)))
-    assert len(masks) == 5000
-    for S in masks:
-        assert ctx.avoid(S) == _kernel_avoid(ctx, S)
-        assert len(ctx._avoid) <= budget and len(ctx._avoid_old) <= budget
-    assert len(ctx._avoid_old) == budget
-    # the last generations are served from the table, older masks are recomputed
-    assert all(ctx.avoid(S) == _kernel_avoid(ctx, S) for S in masks)
+        # and every subformula under every quantifier binding met on the way,
+        # its value taken back to the conditions forcing it
+        assert all(A.is_element(ctx._back(V)) for V in set(ctx._forces.values())), Q.name
 
 
 def test_context_is_freed_with_its_poset():
@@ -429,11 +382,11 @@ def test_constant_shortcuts_match_the_recursion(small_corpus, cohen12, collapse2
     # constant names are decided by value in both routes; the references
     # decide them by the plain recursion and the per-filter walk; on the two
     # bundled forcings an equality with gen ranges over more than eight names
-    from helpers import AtomicReference, interpret_reference
+    from helpers import ForcingReference, interpret_reference
 
     for Q in list(small_corpus) + [cohen12[0], collapse22[0]]:
         ctx = ForcingContext(Q)
-        ref = AtomicReference(ctx)
+        ref = ForcingReference(Q)
         pool = _reference_corpus(Q)
         values = []
         for fidx, members in enumerate(ctx.filter_masks):
@@ -448,6 +401,104 @@ def test_constant_shortcuts_match_the_recursion(small_corpus, cohen12, collapse2
             eq = sum(1 << f for f, v in enumerate(values) if v[i] == v[j])
             assert ctx.oracle_mask(Mem("a", "b"), env) == mem
             assert ctx.oracle_mask(Eq("a", "b"), env) == eq
+
+
+# a stride through the formula corpus that meets its atoms, its depth-2
+# formulas, their negations, and the depth-3 binaries and quantifiers
+_CORPUS_STRIDE = 61
+
+
+def test_forcing_sets_match_the_condition_mask_reference(
+    small_corpus, cohen12, collapse22, mathias6, marker3, corpus_formulas
+):
+    # the evaluation over minimal filters, taken back to conditions, against
+    # the forcing clauses over condition masks.  mathias(6) and marker(3)
+    # are not separative; on them the plain recursion takes minutes over
+    # the condition codes inside gen, so gen is left to criterion 1 there
+    from helpers import ForcingReference, canonical_env
+
+    for Q in list(small_corpus) + [cohen12[0], collapse22[0], mathias6, marker3[0]]:
+        ctx = ForcingContext(Q)
+        ref = ForcingReference(Q)
+        env = canonical_env(Q)
+        if Q in (mathias6, marker3[0]):
+            del env["gen"]
+        for f in corpus_formulas[::_CORPUS_STRIDE]:
+            if set(f.free) <= env.keys():
+                assert ctx.forces_set(f, env) == ref.forces_set(f, env), (Q.name, f)
+        for x, y in itertools.product(env.values(), repeat=2):
+            assert ctx.mem_set(x, y) == ref.mem_set(x, y), Q.name
+            assert ctx.eq_set(x, y) == ref.eq_set(x, y), Q.name
+
+
+def _mixed_names(P, rng):
+    """The empty name and five names of two to four entries, each a small
+    constant or a one-entry name below the entry's condition."""
+    consts = [check_name(x, P) for x in (HF0, HF1, HF2)]
+    names = {"e": consts[0]}
+    for k in range(5):
+        entries = []
+        for _ in range(rng.randint(2, 4)):
+            q = rng.choice(P.ids)
+            r = rng.choice(P.ids_of(P.down_mask(q)))
+            entries.append((rng.choice(consts + [Name([(rng.choice(consts), r)])]), q))
+        names[f"m{k}"] = Name(entries)
+    return names
+
+
+def _random_formula(rng, terms, depth):
+    if depth == 0:
+        return rng.choice((Mem, Eq))(rng.choice(terms), rng.choice(terms))
+    kind = rng.randrange(6)
+    if kind == 0:
+        return Not(_random_formula(rng, terms, depth - 1))
+    if kind < 4:
+        left, right = _random_formula(rng, terms, depth - 1), _random_formula(rng, terms, depth - 1)
+        return (And, Or, Imp)[kind - 1](left, right)
+    var = f"v{depth}"
+    body = _random_formula(rng, terms + (var,), depth - 1)
+    return rng.choice((ForallIn, ExistsIn))(var, rng.choice(terms), body)
+
+
+def test_wide_forcing_sets_match_the_condition_mask_reference():
+    # criterion 1 stops near 500 conditions; these take 729 and 1365
+    from helpers import ForcingReference
+
+    for P in (zoo.cohen(2, 3)[0], zoo.collapse(4, 5)[0]):
+        rng = random.Random(16)
+        env = _mixed_names(P, rng)
+        ctx = ForcingContext(P)
+        ref = ForcingReference(P)
+        masks = set()
+        for _ in range(30):
+            f = _random_formula(rng, tuple(env), 3)
+            mask = ctx.forces_set(f, env)
+            assert mask == ref.forces_set(f, env), (P.name, f)
+            masks.add(mask)
+        # the sweep reaches more than the empty and the full set
+        assert len(masks - {0, P.full_mask}) >= 10, P.name
+
+
+def test_decides_and_decide_name_value_match_the_condition_sets(small_corpus, cohen12, corpus_formulas):
+    # both read the filter mask directly; the three-way answer and the
+    # decided values are held to the condition sets
+    from helpers import canonical_env
+
+    for Q in list(small_corpus) + [cohen12[0]]:
+        ctx = context_for(Q)
+        env = canonical_env(Q)
+        down = Q.down_masks()
+        for f in corpus_formulas[::_CORPUS_STRIDE]:
+            S = ctx.forces_set(f, env)
+            for i, p in enumerate(Q.ids):
+                expected = FORCES if S >> i & 1 else UNDECIDED if down[i] & S else FORCES_NEGATION
+                assert decides(Q, p, f, env) == expected, (Q.name, p, f)
+        for y in env.values():
+            for p in Q.ids:
+                out = decide_name_value(Q, p, y)
+                assert [w for w, _ in out] == [w for w in ctx.filter_witnesses if Q.leq(w, p)]
+                for w, z in out:
+                    assert ctx.eq_set(y, check_name(z, Q)) >> Q.index[w] & 1, (Q.name, p, w)
 
 
 def test_constant_values_are_built_once_per_context(P):
@@ -527,17 +578,7 @@ _THREAD_FORMULAS = (
 
 
 def test_shared_context_across_threads(cohen12):
-    _check_threads_agree_with_one(cohen12[0])
-
-
-def test_shared_context_across_threads_while_the_avoid_table_rotates(cohen12, monkeypatch):
-    # so small a budget makes the shared avoid table change generations
-    # many times while the threads read and write it
-    monkeypatch.setattr(forcing, "_AVOID_BUDGET", 4)
-    _check_threads_agree_with_one(cohen12[0])
-
-
-def _check_threads_agree_with_one(P):
+    P = cohen12[0]
     pool = _cohen12_pool(P)
     rng = random.Random(6)
     workers, per_worker = 8, 500
