@@ -13,16 +13,25 @@ increasing order into one running mask, looking each value up in the member
 masks.  Every status test first checks whether a prefix of the fixed part a
 is already a member, which settles it outright.  The construction's
 ``settle`` builds one table per call, holding for every size-s block of the
-available pool whether it completes a; its shrink loop then decides each
-candidate from the entries of the candidate's blocks, in the same order as
-before, so it picks the same first candidate (``gnw_construct``).
+available pool whether it completes a.  When the blocks do not all agree, it
+looks for the largest subset whose blocks do, one size at a time, by a
+depth-first search that adds elements in increasing order, reads only the
+blocks each new element closes, and drops a partial set as soon as it holds
+blocks of both kinds.  Agreement passes to subsets, so the first set found
+is the first one a scan of every subset in ``combinations`` order keeps
+(``gnw_construct``).  The dichotomy search walks its candidates in colex
+order as it generates them.
 
 The partition search turns the coloring into bitmask tables once per call,
-one per level and color, and finds each row's choice function by a
-depth-first search in lexicographic order that drops a partial choice as
-soon as it can no longer be completed.  Since picks only ever narrow what
-can still be completed, the first witness found is the one a plain scan of
-every choice function in product order would return (``hl_search``).
+one per level and color, and lists for each tree and each pair of levels
+m <= n the run of level-n positions, with its mask, under every level-m
+node; stems and sources are addressed by position in those runs.  It finds
+each row's choice function by a depth-first search in lexicographic order
+that drops a partial choice as soon as it can no longer be completed.  Since
+picks only ever narrow what can still be completed, the first witness found
+is the one a plain scan of every choice function in product order would
+return (``hl_search``).
+
 Pure decision compiles clopen predicates against one read-only environment
 per Mathias poset and one formula object per accepted prefix, so decisions
 reuse both instead of rebuilding them.
@@ -35,7 +44,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from weakref import WeakKeyDictionary
 
 from .errors import ForcingLabError, InputError, SizeCapError
@@ -199,12 +208,25 @@ def gnw_dichotomy_search(
     if not 1 <= m <= h:
         raise InputError("witness size must satisfy 1 <= m <= h")
     masks = F._masks
-    for combo in sorted(itertools.combinations(pool, h), key=lambda t: t[::-1]):
+    for combo in _colex(pool, h):
         if _no_member_inside(masks, _mask(combo)):
             return GnwSearchResult(frozenset(combo), "a")
         if _horn_b(F, combo, m):
             return GnwSearchResult(frozenset(combo), "b")
     return None
+
+
+def _colex(pool: Sequence[int], h: int) -> Iterator[tuple[int, ...]]:
+    """The h-subsets of pool in colex order (by last element, then the one
+    before it, ...), generated as needed: the sets ending at pool[j] come
+    after every set inside pool[:j]."""
+    if not h:
+        yield ()
+        return
+    for j in range(h - 1, len(pool)):
+        last = (pool[j],)
+        for head in _colex(pool[:j], h - 1):
+            yield head + last
 
 
 def _no_member_inside(masks: frozenset[int], hmask: int) -> bool:
@@ -294,11 +316,15 @@ def gnw_construct(
     table, keyed by block mask, of whether each size-s block of avail
     completes a_t.  Every element of avail lies past max(a_t), so the status
     of a_t over any subset B of avail ranges over exactly the blocks inside
-    B: accepts when all of them complete a_t, rejects when none does.  The
-    shrink loop reads that off the table for each candidate, in the same
-    size-descending ``combinations`` order as a direct test of each
-    candidate, and every verdict equals the direct one; so the first
-    candidate it keeps, and the transcript, are unchanged.
+    B: accepts when all of them complete a_t, rejects when none does.  When
+    the whole table agrees, avail decides a_t.  Otherwise, for each size
+    from len(avail) - 1 down to s, a depth-first search (``_first_uniform``)
+    finds the first subset of that size, in ``combinations`` order, whose
+    blocks agree; it drops a partial subset once it holds blocks of both
+    kinds, and no superset of such a set agrees.  So the subset it keeps,
+    and the transcript, are those of a direct test of every candidate in
+    size-descending ``combinations`` order.  The rejection walk reads each
+    status with ``_rejects``, on inputs already sorted and checked.
     """
     pool = tuple(sorted(ground)) if ground is not None else tuple(range(F.universe_size))
     if not 1 <= h <= len(pool):
@@ -329,16 +355,20 @@ def gnw_construct(
         # bits are distinct powers of two, so a block's sum is its mask.
         bits = [1 << x for x in avail]
         table = {sum(block): _hits(masks, a_mask, block) for block in itertools.combinations(bits, s)}
-        st = _block_verdict(table, bits, s)
-        if st is not None:
-            transcript.append(("decide", a_t, st))
-            statuses[a_t] = st
+        # The only candidate of the full size is avail itself, whose blocks
+        # are the whole table: that is the "decide" case.
+        labels = iter(table.values())
+        label = next(labels)
+        if (not label) not in labels:
+            verdict = ACCEPTS if label else REJECTS
+            transcript.append(("decide", a_t, verdict))
+            statuses[a_t] = verdict
             return True
         for size in range(len(bits) - 1, s - 1, -1):
-            for B in itertools.combinations(bits, size):
-                verdict = _block_verdict(table, B, s)
-                if verdict is None:
-                    continue
+            found = _first_uniform(table, bits, s, size)
+            if found is not None:
+                B, label = found
+                verdict = ACCEPTS if label else REJECTS
                 avail = [b.bit_length() - 1 for b in B]
                 transcript.append(("shrink", a_t, frozenset(avail), verdict))
                 statuses[a_t] = verdict
@@ -385,16 +415,13 @@ def gnw_construct(
             tail = [y for y in work if y > x]
             if len(tail) < s:
                 continue
-            bad = False
-            for r in range(0, len(rs) + 1):
-                for sub in itertools.combinations(rs, r):
-                    a_t = tuple(sorted(sub + (x,)))
-                    if gnw_accepts(F, a_t, tail, s) != REJECTS:
-                        bad = True
-                        break
-                if bad:
-                    break
-            if bad:
+            # rs is increasing and ends below x, so each sub + (x,) is sorted,
+            # as is tail, and len(tail) >= s: the status needs none of the
+            # input checks of ``gnw_accepts``.  Every element of tail lies
+            # past x, so tail has a block and a pair that accepts does not
+            # reject: "not REJECTS" is "not _rejects".
+            heads = (sub + (x,) for r in range(len(rs) + 1) for sub in itertools.combinations(rs, r))
+            if not all(_rejects(F, a_t, tail, s) for a_t in heads):
                 transcript.append(("excluded", x))
                 continue
             picked = x
@@ -409,14 +436,42 @@ def gnw_construct(
     return GnwConstructResult(H, None, False, tuple(transcript))
 
 
-def _block_verdict(table: dict[int, bool], B: Sequence[int], s: int) -> Optional[str]:
-    """The status at block size s of a pair whose candidate B (bits, at
-    least s of them, all past max(a)) has its s-blocks in the table: accepts
-    when every block completes a, rejects when none does, else None."""
-    labels = map(table.__getitem__, map(sum, itertools.combinations(B, s)))
-    if next(labels):
-        return ACCEPTS if all(labels) else None
-    return None if any(labels) else REJECTS
+def _first_uniform(
+    table: dict[int, bool], bits: Sequence[int], s: int, size: int
+) -> Optional[tuple[list[int], bool]]:
+    """The first size-subset of bits, in ``combinations`` order, whose
+    s-blocks (keyed by mask in the table) all carry one label, with that
+    label; None when there is none.
+
+    Depth first, adding positions in increasing order, so the leaves come in
+    ``combinations`` order.  Adding an element reads only the blocks it makes
+    with the (s-1)-subsets already picked.  A branch is dropped once it has
+    seen both labels, which every superset would see too, or once too few
+    positions are left to reach the size; so the first leaf is the answer."""
+    count = len(bits)
+    picked: list[int] = []
+    label_of = table.__getitem__
+    combinations = itertools.combinations
+
+    def extend(start: int, label: Optional[bool]) -> Optional[bool]:
+        need = size - len(picked)
+        if not need:
+            return label
+        for i in range(start, count - need + 1):
+            b = bits[i]
+            new = map(label_of, map(b.__add__, map(sum, combinations(picked, s - 1))))
+            seen = next(new, None) if label is None else label
+            if seen is not None and (not seen) in new:
+                continue
+            picked.append(b)
+            found = extend(i + 1, seen)
+            if found is not None:
+                return found
+            picked.pop()
+        return None
+
+    label = extend(0, None)
+    return None if label is None else (picked, label)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +578,9 @@ def hl_search(trees: Sequence[LevelTree], f: LevelColoring) -> Optional[HlWitnes
 
     Each tree's levels are listed once per call, sorted, so the extensions
     of a node to a lower level are one run of positions and a node set is a
-    bitmask over them.  The coloring becomes one table per level n and
+    bitmask over them.  Those runs, as bounds and masks, are listed once per
+    call too, for every pair of levels m <= n (``_hl_spans``), and stems are
+    addressed by position.  The coloring becomes one table per level n and
     color: on one tree the mask of level-n nodes of that color; on two, for
     each level-n node v0 of the first tree, the mask of level-n nodes v1 of
     the second with f(v0, v1) of that color.
@@ -554,17 +611,18 @@ def hl_search(trees: Sequence[LevelTree], f: LevelColoring) -> Optional[HlWitnes
     tables = [_hl_tables(levels, f, n) for n in range(depth + 1)]
     if depth < 1:
         return None
+    spans = [_hl_spans(L) for L in levels]
     for l in range(depth):
-        for stems in itertools.product(*(L[l] for L in levels)):
+        for stems in itertools.product(*(range(len(L[l])) for L in levels)):
             rows = []
             for m in range(l, depth):
-                row = _hl_row(levels, tables, stems, m, depth)
+                row = _hl_row(levels, spans, tables, stems, l, m)
                 if row is None:
                     rows = None
                     break
                 rows.append((m, row))
             if rows is not None:
-                return HlWitness(l, tuple(stems), tuple(rows))
+                return HlWitness(l, tuple(L[l][i] for L, i in zip(levels, stems)), tuple(rows))
     return None
 
 
@@ -598,13 +656,26 @@ def _hl_tables(levels: list[tuple[tuple[str, ...], ...]], f: LevelColoring, n: i
         raise InputError(f"coloring is missing the tuple {exc.args[0]!r}") from None
 
 
-def _spans(level: tuple[str, ...], us: Iterable[str]) -> list[range]:
-    """Positions in a sorted level of the extensions of each node."""
-    return [range(bisect_left(level, u), bisect_left(level, u + "2")) for u in us]
+def _hl_spans(levels: tuple[tuple[str, ...], ...]) -> list[list[tuple[list[int], list[int]]]]:
+    """For the levels m < depth and n >= m of one tree, ``spans[m][n - m]``
+    gives, per position i of level m, the run of level-n positions under
+    that node: it is ``range(bounds[i], bounds[i + 1])``, with mask
+    ``masks[i]``, for ``(bounds, masks) = spans[m][n - m]``.
 
-
-def _span_mask(span: range) -> int:
-    return (1 << span.stop) - (1 << span.start)
+    The levels are sorted, so each run is contiguous and the runs of
+    consecutive level-m nodes follow each other; a node's run in level n
+    starts at the first child of the first node of its run in level n-1."""
+    firsts = [[bisect_left(lower, u) for u in upper] + [len(lower)] for upper, lower in zip(levels, levels[1:])]
+    spans = []
+    for m in range(len(levels) - 1):
+        bounds = list(range(len(levels[m]) + 1))
+        row = []
+        for n in range(m, len(levels)):
+            if n > m:
+                bounds = [firsts[n - 1][j] for j in bounds]
+            row.append((bounds, [(1 << b) - (1 << a) for a, b in zip(bounds, bounds[1:])]))
+        spans.append(row)
+    return spans
 
 
 def _first(level: tuple[str, ...], mask: int) -> str:
@@ -613,21 +684,32 @@ def _first(level: tuple[str, ...], mask: int) -> str:
 
 def _hl_row(
     levels: list[tuple[tuple[str, ...], ...]],
+    spans: list[list[list[tuple[list[int], list[int]]]]],
     tables: list[list],
-    stems: tuple[str, ...],
+    stems: tuple[int, ...],
+    l: int,
     m: int,
-    depth: int,
 ) -> Optional[HlRow]:
-    sources = [[L[m][i] for i in _spans(L[m], [stem])[0]] for L, stem in zip(levels, stems)]
-    for n in range(m, depth + 1):
-        spans = [_spans(L[n], us) for L, us in zip(levels, sources)]
-        for color, table in enumerate(tables[n]):
-            if len(levels) == 1:
-                hits = [table & _span_mask(span) for span in spans[0]]
+    # per tree, the level-m positions above the stem: [first, last)
+    sources = []
+    for S, i in zip(spans, stems):
+        bounds = S[l][m - l][0]
+        sources.append((bounds[i], bounds[i + 1]))
+    for n in range(m, len(tables)):
+        runs = [S[m][n - m] for S in spans]
+        if len(levels) == 1:
+            first, last = sources[0]
+            targets = runs[0][1][first:last]
+            for color, table in enumerate(tables[n]):
+                hits = [table & mask for mask in targets]
                 if all(hits):
                     return HlRow(n, (frozenset(_first(levels[0][n], h) for h in hits),), color)
-            else:
-                row = _hl_row_pair(levels[0][n], levels[1][n], table, spans, n, color)
+        else:
+            (first0, last0), (first1, last1) = sources
+            bounds0 = runs[0][0][first0 : last0 + 1]
+            targets = runs[1][1][first1:last1]
+            for color, table in enumerate(tables[n]):
+                row = _hl_row_pair(levels[0][n], levels[1][n], table, bounds0, targets, n, color)
                 if row is not None:
                     return row
     return None
@@ -637,21 +719,25 @@ def _hl_row_pair(
     level0: tuple[str, ...],
     level1: tuple[str, ...],
     table: list[int],
-    spans: list[list[range]],
+    bounds0: list[int],
+    targets: list[int],
     n: int,
     color: int,
 ) -> Optional[HlRow]:
-    spans0 = spans[0]
-    targets = [_span_mask(span) for span in spans[1]]
+    """The row at level n and this color on two trees: the i-th level-m node
+    of the first tree picks a position in ``range(bounds0[i], bounds0[i +
+    1])``, and every level-m node of the second, with run mask in
+    ``targets``, has to keep a node that goes with every pick."""
     picks: list[int] = []
+    sources = len(bounds0) - 1
 
     def extend(i: int, common: int) -> int:
         # common: second-tree nodes colored `color` against every pick so far
-        if i == len(spans0):
+        if i == sources:
             return common
-        for b in spans0[i]:
+        for b in range(bounds0[i], bounds0[i + 1]):
             narrowed = common & table[b]
-            if all(narrowed & t for t in targets):
+            if all(map(narrowed.__and__, targets)):
                 picks.append(b)
                 found = extend(i + 1, narrowed)
                 if found:

@@ -12,7 +12,7 @@ from helpers import (
     rejects_reference,
 )
 
-from forcinglab import InputError, zoo
+from forcinglab import InputError, ramsey, zoo
 from forcinglab.forcing import FORCES, FORCES_NEGATION, UNDECIDED, decides
 from forcinglab.ramsey import (
     ACCEPTS,
@@ -39,7 +39,7 @@ from forcinglab.ramsey import (
     seq_tree_rank_certificate,
     strong_subtree_assemble,
 )
-from forcinglab.ramsey import _accepts, _rejects
+from forcinglab.ramsey import _accepts, _colex, _first_uniform, _rejects
 from forcinglab.zoo import mathias_decode, mathias_id, mathias_pure_extension
 
 
@@ -199,6 +199,63 @@ def test_gnw_engine_matches_reference():
     assert {"decide", "shrink", "exhausted", "reject-walk", "excluded"} <= routes
 
 
+def test_gnw_construct_sweep_in_workload_shape(monkeypatch):
+    # the benchmark's gnw shape: 8-10 points, up to 12 members of 1-3
+    # elements, block size 2-4; half the runs on a ground set
+    searched = []  # per size search: how far below the full size, found or not
+    search = ramsey._first_uniform
+
+    def counted(table, bits, s, size):
+        found = search(table, bits, s, size)
+        searched.append((len(bits) - size, found is not None))
+        return found
+
+    monkeypatch.setattr(ramsey, "_first_uniform", counted)
+    rng = random.Random("gnw-construct-sweep")
+    for _ in range(150):
+        n = rng.randint(8, 10)
+        members = set()
+        target = rng.randint(3, 12)
+        while len(members) < target:
+            members.add(frozenset(rng.sample(range(n), rng.randint(1, 3))))
+        F = FinFamily(n, frozenset(members))
+        ground = frozenset(rng.sample(range(n), rng.randint(7, n))) if rng.random() < 0.5 else None
+        s = rng.randint(2, 4)
+        h = rng.randint(s, 4)
+        built = gnw_construct(F, s, h, ground)
+        assert built == gnw_construct_reference(F, s, h, ground)
+    # shrinks that found nothing for several sizes before keeping a set
+    assert sum(found and below >= 3 for below, found in searched) >= 10
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_first_uniform_matches_combinations_scan(s):
+    rng = random.Random(f"first-uniform/{s}")
+    for _ in range(200):
+        count = rng.randint(s, 9)
+        bits = [1 << x for x in sorted(rng.sample(range(12), count))]
+        bias = rng.random()
+        table = {sum(block): rng.random() < bias for block in itertools.combinations(bits, s)}
+        for size in range(s, count + 1):
+            expected = None
+            for B in itertools.combinations(bits, size):
+                labels = {table[sum(block)] for block in itertools.combinations(B, s)}
+                if len(labels) == 1:
+                    expected = (list(B), labels.pop())
+                    break
+            assert _first_uniform(table, bits, s, size) == expected
+            if size == s:
+                assert expected == (bits[:s], table[sum(bits[:s])])
+
+
+def test_colex_matches_sorted_form():
+    for n in range(11):
+        pool = tuple(range(3, 3 + 2 * n, 2))
+        for h in range(n + 1):
+            expected = sorted(itertools.combinations(pool, h), key=lambda t: t[::-1])
+            assert list(_colex(pool, h)) == expected
+
+
 # -- level trees -------------------------------------------------------------
 
 
@@ -314,6 +371,25 @@ def test_hl_search_matches_reference_scan(d, k):
                 w = hl_search(trees, f)
                 assert w == hl_search_reference(trees, f)
                 assert w is None or check_hl_witness(trees, f, w)
+
+
+def test_hl_search_matches_reference_on_depth_4_pairs():
+    # the benchmark's two-tree shape: full trees of depth 4 with seeded
+    # 2-colorings, plus pruned pairs; the slow searches end at level 2
+    rng = random.Random("hl-depth-4-pairs")
+    pairs = [[LevelTree(4), LevelTree(4)]] * 8 + [[_pruned_tree(rng, 4), _pruned_tree(rng, 4)] for _ in range(4)]
+    levels = []
+    for trees in pairs:
+        values = {}
+        for l in range(5):
+            for combo in itertools.product(*(T.level(l) for T in trees)):
+                values[combo] = rng.randint(0, 1)
+        f = LevelColoring(2, 4, 2, values)
+        w = hl_search(trees, f)
+        assert w == hl_search_reference(trees, f)
+        assert w is not None and check_hl_witness(trees, f, w)
+        levels.append(w.level)
+    assert max(levels[:8]) >= 2
 
 
 @pytest.mark.parametrize("d", [1, 2])
