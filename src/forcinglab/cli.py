@@ -17,9 +17,8 @@ from pathlib import Path
 from typing import Optional
 
 from . import formats, ramsey, zoo
-from .completion import RegularOpenAlgebra, boolean_completion
 from .errors import ForcingLabError, InputError
-from .forcing import FORCES, context_for, decides, forces_set, oracle_set, truth_value
+from .forcing import FORCES, context_for, decides, forces_set, oracle_set
 from .formulas import Formula, parse_formula, print_formula, unbound_symbols
 from .generic import GenericRequest, build_generic
 from .names import Name, generic_name
@@ -31,22 +30,14 @@ OK, FALSE, BAD_INPUT = 0, 1, 2
 @dataclass
 class Workspace:
     """Everything one invocation works against: the poset, its named dense
-    families, the name environment (with ``gen`` bound), and the completion
-    built on demand."""
+    families and the name environment (with ``gen`` bound)."""
 
     poset: Poset
     dense_families: dict[str, ConditionFamily] = field(default_factory=dict)
     names: dict[str, Name] = field(default_factory=dict)
-    _algebra: Optional[RegularOpenAlgebra] = None
 
     def __post_init__(self):
         self.names.setdefault("gen", generic_name(self.poset))
-
-    @property
-    def algebra(self) -> RegularOpenAlgebra:
-        if self._algebra is None:
-            self._algebra = boolean_completion(self.poset)
-        return self._algebra
 
 
 # Workspaces parsed by earlier requests in this process, least recently used
@@ -138,8 +129,7 @@ def _cmd_force(args) -> int:
 def _cmd_truth(args) -> int:
     ws = _load_workspace(args.poset, args.names)
     f = _parse_checked(args.formula, ws)
-    mask = truth_value(ws.algebra, f, ws.names)
-    print("truth " + " ".join(sorted(ws.poset.ids_of(mask))))
+    print("truth " + " ".join(sorted(forces_set(ws.poset, f, ws.names))))
     return OK
 
 

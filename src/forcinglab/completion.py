@@ -25,19 +25,7 @@ class RegularOpenAlgebra:
 
     def __init__(self, base: Poset):
         self.base = base
-        seen: set[int] = set()
-        atoms = []
-        mm = base.minimal_mask()
-        i = 0
-        while mm:
-            if mm & 1:
-                a = self.ro(1 << i)
-                if a not in seen:
-                    seen.add(a)
-                    atoms.append(a)
-            mm >>= 1
-            i += 1
-        self.atoms = tuple(atoms)
+        self.atoms = tuple(self.ro(1 << base.index[w]) for w, _ in base.minimal_filters())
         self._elements: tuple[int, ...] | None = None
         self._emb: dict[str, int] = {}
 

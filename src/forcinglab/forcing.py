@@ -52,7 +52,7 @@ from typing import Callable, Iterable, Mapping, Optional
 from .completion import RegularOpenAlgebra
 from .errors import ForcingLabError, InputError
 from .formulas import And, Check, Eq, ExistsIn, ForallIn, Formula, Imp, Mem, Not, Or, Term
-from .names import HF, Name, _constant_value, _interpret, check_name, hereditary_names, validate_name
+from .names import HF, Name, _constant_value, _interpret, check_name, validate_name
 from .poset import Poset, RowUnion
 
 
@@ -79,14 +79,16 @@ class ForcingContext:
 
     A formula's entry is keyed on the formula and the names its free
     variables denote, so equal environments share entries whatever mapping
-    object carries them, and an environment may change between calls.  The
-    names in a key are validated before its entry is computed, even those no
-    quantifier entry reaches, so no entry is stored for an invalid name.  Every
-    memo entry is a function of its key alone, so two writes of one key store
-    the same value.  On CPython with the global interpreter lock, threads
-    sharing one context get the answers a single thread gets
-    (``tests/test_forcing.py`` checks this with 8 threads).  The tables are
-    not bounded yet.
+    object carries them, and an environment may change between calls.  Names
+    are validated where they enter, once per context: ``value`` and
+    ``oracle_mask`` validate the names their formula's free variables denote
+    before any entry is computed, so no entry is stored for an invalid name.
+    Every name the recursion meets is a check name or lies inside one of
+    those, and so is valid too.  Every memo entry is a function of its key
+    alone, so two writes of one key store the same value.  On CPython with
+    the global interpreter lock, threads sharing one context get the answers
+    a single thread gets (``tests/test_forcing.py`` checks this with 8
+    threads).  The tables are not bounded yet.
     """
 
     def __init__(self, P: Poset):
@@ -135,9 +137,8 @@ class ForcingContext:
     # -- names ----------------------------------------------------------------
 
     def require_valid(self, name: Name) -> None:
-        """Raise InputError unless name keeps the nested-condition discipline.
-        Every name inside a valid name is valid too (the walk checked each
-        under a stricter bound), so they are all recorded."""
+        """Raise InputError unless name keeps the nested-condition discipline;
+        a name found valid is recorded, and not walked again."""
         if name in self._validated:
             return
         ok, violation = validate_name(name, self.poset, self._constants)
@@ -147,7 +148,6 @@ class ForcingContext:
                 f"name violates the nested-condition discipline at {cond!r} (path {path})"
             )
         self._validated.add(name)
-        self._validated |= hereditary_names(name)
 
     def constant(self, name: Name) -> Optional[HF]:
         """The HF set a constant (check-shaped) name denotes under every
@@ -241,7 +241,7 @@ class ForcingContext:
     def _resolve(self, term: Term, env: Mapping[str, Name], binds: dict[str, Name]) -> Name:
         if isinstance(term, Check):
             return check_name(term.value, self.poset)
-        # the node's key has resolved the term and its name was validated
+        # the node's key has resolved the term
         return binds[term] if term in binds else env[term]
 
     def _eval(
@@ -258,8 +258,6 @@ class ForcingContext:
         hit = table.get(key)
         if hit is not None:
             return hit
-        for name in key[1]:
-            self.require_valid(name)
         full = self.filter_full
         index = self.poset.index
         if isinstance(f, (Mem, Eq)):
@@ -291,9 +289,17 @@ class ForcingContext:
         table[key] = out
         return out
 
+    def _entry_binds(self, f: Formula, env: Mapping[str, Name], binds: Optional[dict[str, Name]]) -> dict[str, Name]:
+        """binds, or an empty dict, once the names bound to f's free
+        variables are validated."""
+        binds = binds or {}
+        for name in self._key(f, env, binds)[1]:
+            self.require_valid(name)
+        return binds
+
     def value(self, f: Formula, env: Mapping[str, Name], binds: Optional[dict[str, Name]] = None) -> int:
         """The Boolean value of f in RO(P), as a bitmask over minimal filters."""
-        return self._eval(f, env, binds or {}, self._forces, self._atom)
+        return self._eval(f, env, self._entry_binds(f, env, binds), self._forces, self._atom)
 
     def forces_set(self, f: Formula, env: Mapping[str, Name], binds: Optional[dict[str, Name]] = None) -> int:
         """Conditions forcing f."""
@@ -317,7 +323,7 @@ class ForcingContext:
 
     def oracle_mask(self, f: Formula, env: Mapping[str, Name], binds: Optional[dict[str, Name]] = None) -> int:
         """Bitmask over minimal filters under which f evaluates true."""
-        return self._eval(f, env, binds or {}, self._oracle, self._oracle_atom)
+        return self._eval(f, env, self._entry_binds(f, env, binds), self._oracle, self._oracle_atom)
 
     def oracle_condition_set(self, f: Formula, env: Mapping[str, Name]) -> int:
         """Conditions p such that f holds under every minimal filter through p."""

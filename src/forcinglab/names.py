@@ -10,14 +10,13 @@ Neumann naturals, with identifiers enumerated in lexicographic order; that
 coding is what lets the canonical name for the generic filter interpret back
 to the filter itself.
 
-Derived facts live with what they describe: a name keeps the set of names
-inside it in a slot, a check name the set it was built from (its
-``_CHECK_CACHE`` key), and a poset keeps its forcing context.  Three tables
-remain at module level, none holding a name strongly: ``_VN`` (the von
-Neumann naturals, plain HF sets, grown on demand and never freed),
-``_CHECK_CACHE`` (check names by value and top, weak in the name, so an entry
-goes when nothing else holds its name) and ``_GENERIC_CACHE`` (weak in the
-poset, so an entry goes with its poset).
+Derived facts live with what they describe: a check name keeps the set it
+was built from (its ``_CHECK_CACHE`` key), and a poset keeps its forcing
+context.  Three tables remain at module level, none holding a name strongly:
+``_VN`` (the von Neumann naturals, plain HF sets, grown on demand and never
+freed), ``_CHECK_CACHE`` (check names by value and top, weak in the name, so
+an entry goes when nothing else holds its name) and ``_GENERIC_CACHE`` (weak
+in the poset, so an entry goes with its poset).
 """
 
 from __future__ import annotations
@@ -92,10 +91,10 @@ def von_neumann_value(x: HF) -> Optional[int]:
 class Name:
     """A finite set of (child, condition) pairs, hashable and immutable.
 
-    ``_inside`` is filled on first use by ``hereditary_names``; ``_check`` is
-    ``(x, top)`` on the name ``check_name`` built for x under that top."""
+    ``_check`` is ``(x, top)`` on the name ``check_name`` built for x under
+    that top, else None."""
 
-    __slots__ = ("entries", "rank", "_hash", "_inside", "_check", "__weakref__")
+    __slots__ = ("entries", "rank", "_hash", "_check", "__weakref__")
 
     def __init__(self, entries: Iterable[tuple["Name", str]] = ()):
         es = frozenset(entries)
@@ -105,7 +104,6 @@ class Name:
         object.__setattr__(self, "entries", es)
         object.__setattr__(self, "rank", 0 if not es else 1 + max(c.rank for c, _ in es))
         object.__setattr__(self, "_hash", hash(es))
-        object.__setattr__(self, "_inside", None)
         object.__setattr__(self, "_check", None)
 
     def __setattr__(self, *_):
@@ -179,27 +177,15 @@ def generic_name(P: Poset) -> Name:
 
 
 def hereditary_names(n: Name) -> frozenset[Name]:
-    """All names occurring strictly inside n, at any depth; kept on n and on
-    every name inside it.  Two threads may both fill a slot, with equal sets."""
-    if n._inside is not None:
-        return n._inside
+    """All names occurring strictly inside n, at any depth."""
+    inside: set[Name] = set()
     stack = [n]
     while stack:
-        cur = stack[-1]
-        if cur._inside is not None:
-            stack.pop()
-            continue
-        pending = [c for c, _ in cur.entries if c._inside is None]
-        if pending:
-            stack.extend(pending)
-        else:
-            acc: set[Name] = set()
-            for child, _ in cur.entries:
-                acc.add(child)
-                acc |= child._inside
-            object.__setattr__(cur, "_inside", frozenset(acc))
-            stack.pop()
-    return n._inside
+        for child, _ in stack.pop().entries:
+            if child not in inside:
+                inside.add(child)
+                stack.append(child)
+    return frozenset(inside)
 
 
 def _constant_value(n: Name, top: str, memo: dict[Name, Optional[HF]]) -> Optional[HF]:
@@ -247,10 +233,12 @@ def validate_name(
 
     Constant (check-shaped) subtrees are exempt: their entries all carry the
     greatest condition no matter where they sit, and they interpret the same
-    way under every filter.  Returns (ok, first violation), the violation
-    being the path of entry conditions down to the offender.  Unknown
-    condition identifiers raise an input error.  ``constants`` is a table of
-    constant values to read and fill, such as a forcing context's.
+    way under every filter.  So an entry with a constant child is checked
+    alone, and the walk does not descend into the child, which holds no
+    violation and no unknown condition.  Returns (ok, first violation), the
+    violation being the path of entry conditions down to the offender.
+    Unknown condition identifiers raise an input error.  ``constants`` is a
+    table of constant values to read and fill, such as a forcing context's.
     """
 
     def entry_key(entry: tuple[Name, str]):
@@ -266,12 +254,13 @@ def validate_name(
         for child, cond in sorted(name.entries, key=entry_key):
             P.check_condition(cond)
             here = path + (cond,)
-            if bound is not None and not P.leq(cond, bound):
-                if not (cond == P.top and _constant_value(child, P.top, constants) is not None):
-                    return here
-            bad = walk(child, cond, here)
-            if bad is not None:
-                return bad
+            constant = _constant_value(child, P.top, constants) is not None
+            if bound is not None and not P.leq(cond, bound) and not (cond == P.top and constant):
+                return here
+            if not constant:
+                bad = walk(child, cond, here)
+                if bad is not None:
+                    return bad
         ok_memo.add((name, bound))
         return None
 

@@ -335,20 +335,19 @@ def gnw_construct(
     transcript: list[tuple] = []
     avail = list(pool)
     chosen: list[int] = []
-    statuses: dict[tuple[int, ...], str] = {}
 
-    def settle(a_t: tuple[int, ...]) -> bool:
+    def settle(a_t: tuple[int, ...]) -> Optional[str]:
         """Make avail decide a_t, shrinking to the largest deciding subset
-        when it does not already; False when stuck below the block size."""
+        when it does not already, and return the verdict; None when stuck
+        below the block size."""
         nonlocal avail
         if len(avail) < s:
-            return False
+            return None
         a_mask = _prefix_mask(masks, a_t)
         if a_mask is None:
             # a prefix of a_t is a member: every block completes it
             transcript.append(("decide", a_t, ACCEPTS))
-            statuses[a_t] = ACCEPTS
-            return True
+            return ACCEPTS
         # Every element of avail lies past max(a_t), so the s-blocks of a
         # candidate B are exactly the blocks the status of (a_t, B) ranges
         # over, and none of them has an element at or below max(a_t).  The
@@ -362,8 +361,7 @@ def gnw_construct(
         if (not label) not in labels:
             verdict = ACCEPTS if label else REJECTS
             transcript.append(("decide", a_t, verdict))
-            statuses[a_t] = verdict
-            return True
+            return verdict
         for size in range(len(bits) - 1, s - 1, -1):
             found = _first_uniform(table, bits, s, size)
             if found is not None:
@@ -371,11 +369,11 @@ def gnw_construct(
                 verdict = ACCEPTS if label else REJECTS
                 avail = [b.bit_length() - 1 for b in B]
                 transcript.append(("shrink", a_t, frozenset(avail), verdict))
-                statuses[a_t] = verdict
-                return True
-        return False
+                return verdict
+        return None
 
-    ok = settle(())
+    root = settle(())
+    ok = root is not None
     while ok and len(chosen) < h and avail:
         n = min(avail)
         chosen.append(n)
@@ -387,7 +385,7 @@ def gnw_construct(
         for r in range(0, len(chosen)):
             for rest in itertools.combinations(chosen[:-1], r):
                 a_t = tuple(sorted(rest + (n,)))
-                if not settle(a_t):
+                if settle(a_t) is None:
                     transcript.append(("exhausted", n))
                     ok = False
                     break
@@ -397,7 +395,7 @@ def gnw_construct(
         return GnwConstructResult(frozenset(chosen) | frozenset(avail), None, False, tuple(transcript))
 
     base = frozenset(chosen) | frozenset(avail)
-    if statuses.get((), None) == ACCEPTS:
+    if root == ACCEPTS:
         if _horn_b(F, tuple(sorted(base)), s):
             return GnwConstructResult(base, "b", True, tuple(transcript))
         return GnwConstructResult(base, None, False, tuple(transcript))

@@ -16,7 +16,7 @@ from functools import lru_cache
 from forcinglab import Poset
 from forcinglab.errors import InputError
 from forcinglab.formulas import And, Check, Eq, ExistsIn, ForallIn, Imp, Mem, Not, Or
-from forcinglab.names import Name, check_name, generic_name, hereditary_names
+from forcinglab.names import Name, check_name, constant_value, generic_name, hereditary_names
 from forcinglab.ramsey import (
     ACCEPTS,
     NEITHER,
@@ -305,7 +305,33 @@ def quantifier_bounds_small(f, env, cap: int = 64) -> bool:
 # ---------------------------------------------------------------------------
 # names and forcing sets
 # ---------------------------------------------------------------------------
-#
+
+
+def validate_name_reference(n: Name, P: Poset):
+    """The nested-condition check walking every subtree, constant ones
+    included: (ok, None) or (False, (path, offending condition)), the first
+    violation in the same entry order as ``names.validate_name``."""
+    ok_memo = set()
+
+    def walk(name, bound, path):
+        if (name, bound) in ok_memo:
+            return None
+        for child, cond in sorted(name.entries, key=lambda e: (e[1], e[0].rank, id(e[0]))):
+            P.check_condition(cond)
+            here = path + (cond,)
+            if bound is not None and not P.leq(cond, bound):
+                if not (cond == P.top and constant_value(child, P) is not None):
+                    return here
+            bad = walk(child, cond, here)
+            if bad is not None:
+                return bad
+        ok_memo.add((name, bound))
+        return None
+
+    violation = walk(n, None, ())
+    return (True, None) if violation is None else (False, (violation[:-1], violation[-1]))
+
+
 # The per-filter interpretation walk and the forcing recursion over
 # condition masks, with no constants table: every name is interpreted under
 # each filter on its own, and two constant names go through the same

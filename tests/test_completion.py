@@ -86,3 +86,14 @@ def test_lazy_algebra_on_big_poset(mathias6):
     e = A.embedding(mathias6.ids[5])
     assert A.ro(e) == e
     assert A.meet(e, A.complement(e)) == 0
+
+
+def test_atoms_are_the_ro_of_minimal_conditions(corpus_posets):
+    # one atom per distinct ro of a minimal condition, in identifier order
+    for P in corpus_posets:
+        A = boolean_completion(P)
+        expected = []
+        for i in range(len(P)):
+            if P.minimal_mask() >> i & 1 and A.ro(1 << i) not in expected:
+                expected.append(A.ro(1 << i))
+        assert A.atoms == tuple(expected)

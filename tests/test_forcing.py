@@ -34,7 +34,7 @@ from forcinglab import (
 from forcinglab import forcing, zoo
 from forcinglab.forcing import ForcingContext, context_for
 from forcinglab.formulas import And, Check, Eq, ExistsIn, ForallIn, Imp, Mem, Not, Or
-from forcinglab.names import condition_codes, constant_value, hereditary_names, von_neumann
+from forcinglab.names import condition_codes, constant_value, von_neumann
 from forcinglab.poset import Poset
 
 HF0 = frozenset()
@@ -129,11 +129,26 @@ def test_names_behind_an_empty_bound_are_validated(P, quantifier, route):
         getattr(ForcingContext(P), route)(f, {"e": Name(), "bad": bad})
 
 
-def test_names_inside_a_valid_name_are_recorded_valid(P, env):
+def test_names_are_validated_once_where_they_enter(P, env, monkeypatch):
+    # the names the quantifiers bind lie inside w and are not validated; the
+    # free names are, once each per context, whichever route asks
+    calls = []
+    validate_name = forcing.validate_name
+
+    def counted(name, *args):
+        calls.append(name)
+        return validate_name(name, *args)
+
+    monkeypatch.setattr(forcing, "validate_name", counted)
     ctx = ForcingContext(P)
     w = Name([(env["y"], "0.0.0"), (env["gen"], P.top)])
-    ctx.require_valid(w)
-    assert {w} | hereditary_names(w) <= ctx._validated
+    names = {"w": w, "w2": w, "gen": env["gen"]}
+    f = And(ForallIn("x", "w", ExistsIn("z", "x", Mem("z", "gen"))), Eq("w", "w2"))
+    first = ctx.forces_set(f, names)
+    assert sorted(calls, key=id) == sorted([w, env["gen"]], key=id)
+    assert ctx.forces_set(f, names) == first
+    assert ctx._back(ctx.oracle_mask(f, names)) == first
+    assert len(calls) == 2
 
 
 def test_names_do_not_outlive_their_posets():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from forcinglab import (
     validate_name,
     von_neumann,
 )
+from forcinglab import zoo
 from forcinglab.forcing import context_for
 from forcinglab.formats import print_name
 from forcinglab.names import (
@@ -171,6 +173,70 @@ def test_validate_violation_reported(P):
 def test_validate_unknown_condition(P):
     with pytest.raises(InputError):
         validate_name(Name([(check_name(HF0, P), "nope")]), P)
+
+
+def test_validation_does_not_walk_constant_subtrees(monkeypatch):
+    # every child of gen is a check name, exempt and not walked: one condition
+    # check per entry (walking every check name makes 36159)
+    Q = zoo.mathias(5)
+    gen = generic_name(Q)
+    assert len(gen.entries) == 111
+    calls = 0
+    check_condition = Poset.check_condition
+
+    def counted(self, p):
+        nonlocal calls
+        calls += 1
+        return check_condition(self, p)
+
+    monkeypatch.setattr(Poset, "check_condition", counted)
+    assert validate_name(gen, Q) == (True, None)
+    assert calls <= 2 * len(gen.entries)
+
+
+def _mixed_name(rng, Q, bound, depth, pool):
+    """A seeded name whose entries mostly keep the discipline under bound,
+    with check names, hand-built constants and the odd unknown condition."""
+    below = [c for c in Q.ids if bound is None or Q.leq(c, bound)]
+    entries = []
+    for _ in range(rng.randint(0, 3)):
+        r = rng.random()
+        cond = rng.choice(below) if r < 0.7 else Q.top if r < 0.85 else rng.choice(Q.ids)
+        if rng.random() < 0.01:
+            cond = "nope"
+        r = rng.random()
+        if depth == 0 or r < 0.3:
+            child = check_name(rng.choice(pool), Q)
+        elif r < 0.45:
+            child = Name([(check_name(rng.choice(pool), Q), Q.top)])
+        else:
+            child = _mixed_name(rng, Q, cond if cond in Q.index else None, depth - 1, pool)
+        entries.append((child, cond))
+    return Name(entries)
+
+
+def _outcome(validate, *args):
+    try:
+        return validate(*args)
+    except InputError as exc:
+        return str(exc)
+
+
+def test_validate_matches_the_full_walk(corpus_posets):
+    from helpers import validate_name_reference
+
+    rng = random.Random(18)
+    pool = hf_universe(3)
+    seen = set()
+    for Q in corpus_posets:
+        shared = {}
+        for _ in range(12):
+            n = _mixed_name(rng, Q, None, 3, pool)
+            expected = _outcome(validate_name_reference, n, Q)
+            assert _outcome(validate_name, n, Q) == expected
+            assert _outcome(validate_name, n, Q, shared) == expected
+            seen.add(expected[0] if isinstance(expected, tuple) else "error")
+    assert seen == {True, False, "error"}
 
 
 def test_interpret_examples(P):
