@@ -20,7 +20,7 @@ from . import formats, ramsey, zoo
 from .errors import ForcingLabError, InputError
 from .forcing import FORCES, context_for, decides, forces_set, oracle_set
 from .formulas import Formula, parse_formula, print_formula, unbound_symbols
-from .generic import GenericRequest, build_generic
+from .generic import GenericRequest, build_generic, enumerate_ultrafilters
 from .names import Name, generic_name
 from .poset import ConditionFamily, Poset, condition_cap, is_separative, separative_quotient
 
@@ -88,7 +88,7 @@ def _cmd_poset_check(args) -> int:
     print(f"top {P.top}")
     print("reflexive ok")
     print("transitive ok")
-    print(f"top-greatest ok")
+    print("top-greatest ok")
     print(f"separative {'yes' if is_separative(P) else 'no'}")
     print(f"quotient-classes {len(quotient)}")
     print(f"quotient-separative {'yes' if was_sep else 'no'}")
@@ -149,8 +149,6 @@ def _cmd_generic(args) -> int:
 
 def _cmd_ultra(args) -> int:
     ws = _load_workspace(args.poset, None)
-    from .generic import enumerate_ultrafilters
-
     for G in enumerate_ultrafilters(ws.poset):
         print(" ".join(sorted(G.members)))
     return OK

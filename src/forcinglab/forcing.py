@@ -190,7 +190,7 @@ class ForcingContext:
         return V
 
     def _eq_value(self, x: Name, y: Name) -> int:
-        if x == y:
+        if x is y:
             return self.filter_full
         key = (x, y)
         hit = self._eq.get(key)

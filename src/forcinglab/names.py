@@ -14,15 +14,16 @@ Derived facts live with what they describe: a check name keeps the set it
 was built from (its ``_CHECK_CACHE`` key), and a poset keeps its forcing
 context.  Three tables remain at module level, none holding a name strongly:
 ``_VN`` (the von Neumann naturals, plain HF sets, grown on demand and never
-freed), ``_CHECK_CACHE`` (check names by value and top, weak in the name, so
-an entry goes when nothing else holds its name) and ``_GENERIC_CACHE`` (weak
-in the poset, so an entry goes with its poset).
+freed), ``_CHECK_CACHE`` (check names by value and top) and ``_NAMES`` (the
+interned names by entry set, so equal names are one object), both weak in
+the name, so an entry goes when nothing else holds its name.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Iterable, Mapping, Optional, Union
-from weakref import WeakKeyDictionary, WeakValueDictionary
+from weakref import WeakValueDictionary
 
 from .errors import InputError
 from .poset import Filter, Poset
@@ -88,34 +89,36 @@ def von_neumann_value(x: HF) -> Optional[int]:
     return memo[id(x)]
 
 
+_NAMES: "WeakValueDictionary[frozenset, Name]" = WeakValueDictionary()
+_NAMES_LOCK = threading.Lock()
+
+
 class Name:
-    """A finite set of (child, condition) pairs, hashable and immutable.
+    """A finite set of (child, condition) pairs, immutable and interned:
+    equal entries give one object, so equality and hashing are identity.
 
     ``_check`` is ``(x, top)`` on the name ``check_name`` built for x under
     that top, else None."""
 
-    __slots__ = ("entries", "rank", "_hash", "_check", "__weakref__")
+    __slots__ = ("entries", "rank", "_check", "__weakref__")
 
-    def __init__(self, entries: Iterable[tuple["Name", str]] = ()):
+    def __new__(cls, entries: Iterable[tuple["Name", str]] = ()):
         es = frozenset(entries)
-        for child, cond in es:
-            if not isinstance(child, Name) or not isinstance(cond, str):
-                raise InputError("name entries must be (Name, condition id) pairs")
-        object.__setattr__(self, "entries", es)
-        object.__setattr__(self, "rank", 0 if not es else 1 + max(c.rank for c, _ in es))
-        object.__setattr__(self, "_hash", hash(es))
-        object.__setattr__(self, "_check", None)
+        with _NAMES_LOCK:
+            name = _NAMES.get(es)
+            if name is None:
+                for child, cond in es:
+                    if not isinstance(child, Name) or not isinstance(cond, str):
+                        raise InputError("name entries must be (Name, condition id) pairs")
+                name = object.__new__(cls)
+                object.__setattr__(name, "entries", es)
+                object.__setattr__(name, "rank", 0 if not es else 1 + max(c.rank for c, _ in es))
+                object.__setattr__(name, "_check", None)
+                _NAMES[es] = name
+        return name
 
     def __setattr__(self, *_):
         raise AttributeError("Name is immutable")
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, Name) and self._hash == other._hash and self.entries == other.entries
 
     def __repr__(self) -> str:
         return f"Name({len(self.entries)} entries, rank {self.rank})"
@@ -139,9 +142,9 @@ _CHECK_CACHE: "WeakValueDictionary[tuple[HF, str], Name]" = WeakValueDictionary(
 
 def check_name(x: HF, P: Poset) -> Name:
     """The constant name for x: every entry carries the greatest condition.
-    One object serves every poset with the same top while anything holds it,
-    and it records the set it was built from, which is then its constant
-    value: the set itself, not a copy."""
+    It records the set it was built from, which is then its constant value:
+    the set itself, not a copy.  ``EMPTY_NAME`` serves every top, so its
+    record may name another poset's top (its value is ``frozenset()``)."""
     key = (x, P.top)
     hit = _CHECK_CACHE.get(key)
     if hit is None:
@@ -163,17 +166,10 @@ def decode_condition(P: Poset, x: HF) -> Optional[str]:
     return P.ids[i]
 
 
-_GENERIC_CACHE: "WeakKeyDictionary[Poset, Name]" = WeakKeyDictionary()
-
-
 def generic_name(P: Poset) -> Name:
     """The canonical name interpreting to the generic filter: one entry
     (coded check name of q, q) per condition q."""
-    hit = _GENERIC_CACHE.get(P)
-    if hit is None:
-        hit = Name((check_name(von_neumann(i), P), cid) for i, cid in enumerate(P.ids))
-        _GENERIC_CACHE[P] = hit
-    return hit
+    return Name((check_name(von_neumann(i), P), cid) for i, cid in enumerate(P.ids))
 
 
 def hereditary_names(n: Name) -> frozenset[Name]:
@@ -241,33 +237,30 @@ def validate_name(
     table of constant values to read and fill, such as a forcing context's.
     """
 
-    def entry_key(entry: tuple[Name, str]):
-        return (entry[1], entry[0].rank, id(entry[0]))
+    def entries(name: Name):
+        return iter(sorted(name.entries, key=lambda e: (e[1], e[0].rank, id(e[0]))))
 
     ok_memo: set[tuple[Name, Optional[str]]] = set()
     if constants is None:
         constants = {}
-
-    def walk(name: Name, bound: Optional[str], path: tuple[str, ...]):
-        if (name, bound) in ok_memo:
-            return None
-        for child, cond in sorted(name.entries, key=entry_key):
+    # depth first on an explicit stack, entries in sorted order; a frame is
+    # (name, bound, path, entries left), and (name, bound) is recorded once
+    # its entries run out
+    stack = [(n, None, (), entries(n))]
+    while stack:
+        name, bound, path, left = stack[-1]
+        for child, cond in left:
             P.check_condition(cond)
-            here = path + (cond,)
             constant = _constant_value(child, P.top, constants) is not None
             if bound is not None and not P.leq(cond, bound) and not (cond == P.top and constant):
-                return here
-            if not constant:
-                bad = walk(child, cond, here)
-                if bad is not None:
-                    return bad
-        ok_memo.add((name, bound))
-        return None
-
-    violation = walk(n, None, ())
-    if violation is None:
-        return True, None
-    return False, (violation[:-1], violation[-1])
+                return False, (path, cond)
+            if not constant and (child, cond) not in ok_memo:
+                stack.append((child, cond, path + (cond,), entries(child)))
+                break
+        else:
+            ok_memo.add((name, bound))
+            stack.pop()
+    return True, None
 
 
 def _interpret(

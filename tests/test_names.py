@@ -1,5 +1,12 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import threading
+import time
+import weakref
+from pathlib import Path
 
 import pytest
 
@@ -14,10 +21,11 @@ from forcinglab import (
     validate_name,
     von_neumann,
 )
-from forcinglab import zoo
-from forcinglab.forcing import context_for
-from forcinglab.formats import print_name
+from forcinglab import names, zoo
+from forcinglab.forcing import ForcingContext, context_for
+from forcinglab.formats import parse_names, print_name
 from forcinglab.names import (
+    EMPTY_NAME,
     condition_codes,
     constant_value,
     decode_condition,
@@ -239,6 +247,37 @@ def test_validate_matches_the_full_walk(corpus_posets):
     assert seen == {True, False, "error"}
 
 
+_DEEP_NAME_SCRIPT = """
+import sys
+from forcinglab import Name, check_name, validate_name, zoo
+
+limit = sys.getrecursionlimit()
+P, _ = zoo.cohen(1, 1)
+
+
+def deep(innermost):
+    n = Name([(check_name(frozenset(), P), innermost)])
+    for _ in range(2999):
+        n = Name([(n, "0.0.0")])
+    return n
+
+
+assert validate_name(deep("0.0.0"), P) == (True, None)
+assert validate_name(deep("0.0.1"), P) == (False, (("0.0.0",) * 2999, "0.0.1"))
+assert sys.getrecursionlimit() == limit
+"""
+
+
+def test_validate_a_deep_name_without_a_context():
+    # no forcing context is built, so the default recursion limit holds
+    src = str(Path(names.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEEP_NAME_SCRIPT], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 def test_interpret_examples(P):
     y = Name([(check_name(HF0, P), "0.0.0")])
     with_q = Filter(P, frozenset({"-", "0.0.0"}))
@@ -292,3 +331,79 @@ def test_condition_codes_follow_lex_order(P):
     codes = condition_codes(P)
     for i, cid in enumerate(P.ids):
         assert codes[cid] == von_neumann(i)
+
+
+def test_equal_names_are_one_object(P):
+    e = [(check_name(HF0, P), "0.0.0"), (check_name(HF1, P), P.top)]
+    assert Name(e) is Name(e[::-1])
+    assert Name() is EMPTY_NAME
+    # a name read from a file that has a check name's entries is that name,
+    # tagged with the set it names
+    parsed = parse_names("(def a (name ((pair (check #{}) -))))", P)["a"]
+    assert parsed is check_name(HF1, P)
+    assert parsed._check == (HF1, P.top)
+
+
+def test_a_dropped_name_dies():
+    inner = Name([(EMPTY_NAME, "dropped")])
+    outer = Name([(inner, "dropped"), (EMPTY_NAME, "dropped-too")])
+    refs = [weakref.ref(inner), weakref.ref(outer)]
+    del inner, outer
+    assert [r() for r in refs] == [None, None]
+    # and the intern table lets go of their entries
+    assert not [es for es in list(names._NAMES.data) if any(c.startswith("dropped") for _, c in es)]
+
+
+def test_threads_building_one_name_get_one_object():
+    # each name built with its entries in both orders, in both directions,
+    # so threads race to build one name and the names inside it
+    count = 150
+    workers = 8
+    start = threading.Barrier(workers)
+    results = [None] * workers
+
+    def build(i, flip):
+        inner = [(EMPTY_NAME, f"t{i}"), (EMPTY_NAME, f"u{i}")]
+        mid = Name(inner[::-1] if flip else inner)
+        outer = [(mid, f"u{i}"), (Name([(mid, f"t{i}")]), f"t{i}")]
+        return Name(outer[::-1] if flip else outer)
+
+    def work(w):
+        start.wait()
+        order = range(count) if w % 2 else range(count - 1, -1, -1)
+        got = {(i, flip): build(i, flip) for i in order for flip in (w % 2 == 0, w % 2 == 1)}
+        results[w] = [got[i, flip] for i in range(count) for flip in (False, True)]
+
+    def give_up_the_lock(frame, event, arg):
+        # switch threads after every C call, so two threads race to build
+        # the same name
+        if event == "c_return":
+            time.sleep(0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    threading.setprofile(give_up_the_lock)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        threading.setprofile(None)
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    groups = [{id(r[j]) for r in results for j in (2 * i, 2 * i + 1)} for i in range(count)]
+    split = [i for i, ids in enumerate(groups) if len(ids) != 1]
+    assert split == [], f"{len(split)} of {count} names came out as two or more objects"
+    assert all(names._NAMES[n.entries] is n for n in results[0])
+
+
+def test_the_empty_name_is_constant_under_any_top(P):
+    # EMPTY_NAME is the check name of the empty set under every top, so its
+    # record may name another poset's top; its value is the empty set
+    Q = Poset("empty-name-top", ["empty-name-top"], "empty-name-top", [])
+    assert check_name(HF0, Q) is EMPTY_NAME
+    assert EMPTY_NAME._check == (HF0, "empty-name-top")
+    assert ForcingContext(P).constant(EMPTY_NAME) == HF0
+    assert constant_value(EMPTY_NAME, P) == HF0
