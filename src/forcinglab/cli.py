@@ -179,8 +179,7 @@ def _cmd_ramsey_gnw(args) -> int:
 
 def _cmd_ramsey_hl(args) -> int:
     f = formats.parse_coloring_file(Path(args.coloring).read_text())
-    trees = [ramsey.LevelTree(f.depth) for _ in range(f.d)]
-    w = ramsey.hl_search(trees, f)
+    w = ramsey.hl_search([ramsey.LevelTree(f.depth)] * f.d, f)
     if w is None:
         print("exhausted")
         return FALSE

@@ -14,19 +14,20 @@ masks.  Every status test first checks whether a prefix of the fixed part a
 is already a member, which settles it outright.  The construction's
 ``settle`` builds one table per call, holding for every size-s block of the
 available pool whether it completes a.  When the blocks do not all agree, it
-looks for the largest subset whose blocks do, one size at a time, by a
-depth-first search that adds elements in increasing order, reads only the
-blocks each new element closes, and drops a partial set as soon as it holds
-blocks of both kinds.  Agreement passes to subsets, so the first set found
-is the first one a scan of every subset in ``combinations`` order keeps
-(``gnw_construct``).  The dichotomy search walks its candidates in colex
-order as it generates them.
+looks for the largest subset whose blocks do, in one depth-first search
+that adds elements in increasing order, reads only the blocks each new
+element closes, and drops a partial set as soon as it holds blocks of both
+kinds or cannot outgrow the largest set kept.  Agreement passes to subsets,
+so the set kept last is the one a size-descending scan of every subset in
+``combinations`` order keeps (``gnw_construct``).  The dichotomy search
+walks its candidates in colex order as it generates them.
 
 The partition search turns the coloring into bitmask tables once per call,
-one per level and color, and lists for each tree and each pair of levels
-m <= n the run of level-n positions, with its mask, under every level-m
-node; stems and sources are addressed by position in those runs.  It finds
-each row's choice function by a depth-first search in lexicographic order
+one per level and color.  Each tree keeps its sorted levels and, for each
+pair of levels m <= n, the run of level-n positions, with its mask, under
+every level-m node; stems and sources are addressed by position in those
+runs, and a stem's rows are tried from the highest m down.  It finds each
+row's choice function by a depth-first search in lexicographic order
 that drops a partial choice as soon as it can no longer be completed.  Since
 picks only ever narrow what can still be completed, the first witness found
 is the one a plain scan of every choice function in product order would
@@ -42,7 +43,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from weakref import WeakKeyDictionary
@@ -317,13 +318,13 @@ def gnw_construct(
     completes a_t.  Every element of avail lies past max(a_t), so the status
     of a_t over any subset B of avail ranges over exactly the blocks inside
     B: accepts when all of them complete a_t, rejects when none does.  When
-    the whole table agrees, avail decides a_t.  Otherwise, for each size
-    from len(avail) - 1 down to s, a depth-first search (``_first_uniform``)
-    finds the first subset of that size, in ``combinations`` order, whose
-    blocks agree; it drops a partial subset once it holds blocks of both
-    kinds, and no superset of such a set agrees.  So the subset it keeps,
-    and the transcript, are those of a direct test of every candidate in
-    size-descending ``combinations`` order.  The rejection walk reads each
+    the whole table agrees, avail decides a_t.  Otherwise one depth-first
+    search (``_largest_uniform``) finds the first subset, in combinations
+    order, of the largest size below len(avail) whose blocks agree.  It
+    drops a partial subset once it holds blocks of both kinds, as then does
+    every superset, or cannot outgrow the subset kept.  So the subset it
+    keeps, and the transcript, are those of a direct test of every candidate
+    in size-descending ``combinations`` order.  The rejection walk reads each
     status with ``_rejects``, on inputs already sorted and checked.
     """
     pool = tuple(sorted(ground)) if ground is not None else tuple(range(F.universe_size))
@@ -358,19 +359,14 @@ def gnw_construct(
         # are the whole table: that is the "decide" case.
         labels = iter(table.values())
         label = next(labels)
-        if (not label) not in labels:
-            verdict = ACCEPTS if label else REJECTS
-            transcript.append(("decide", a_t, verdict))
-            return verdict
-        for size in range(len(bits) - 1, s - 1, -1):
-            found = _first_uniform(table, bits, s, size)
-            if found is not None:
-                B, label = found
-                verdict = ACCEPTS if label else REJECTS
-                avail = [b.bit_length() - 1 for b in B]
-                transcript.append(("shrink", a_t, frozenset(avail), verdict))
-                return verdict
-        return None
+        entry = ("decide", a_t)
+        if (not label) in labels:
+            B, label = _largest_uniform(table, bits, s)
+            avail = [b.bit_length() - 1 for b in B]
+            entry = ("shrink", a_t, frozenset(avail))
+        verdict = ACCEPTS if label else REJECTS
+        transcript.append(entry + (verdict,))
+        return verdict
 
     root = settle(())
     ok = root is not None
@@ -434,42 +430,45 @@ def gnw_construct(
     return GnwConstructResult(H, None, False, tuple(transcript))
 
 
-def _first_uniform(
-    table: dict[int, bool], bits: Sequence[int], s: int, size: int
+def _largest_uniform(
+    table: dict[int, bool], bits: Sequence[int], s: int
 ) -> Optional[tuple[list[int], bool]]:
-    """The first size-subset of bits, in ``combinations`` order, whose
-    s-blocks (keyed by mask in the table) all carry one label, with that
-    label; None when there is none.
+    """The first subset of bits, in ``combinations`` order, of the largest
+    size from s to len(bits) - 1 whose s-blocks (keyed by mask in the table)
+    all carry one label, with that label; None when no size is in range.
 
-    Depth first, adding positions in increasing order, so the leaves come in
-    ``combinations`` order.  Adding an element reads only the blocks it makes
-    with the (s-1)-subsets already picked.  A branch is dropped once it has
-    seen both labels, which every superset would see too, or once too few
-    positions are left to reach the size; so the first leaf is the answer."""
+    One depth first search adds positions in increasing order, reading only
+    the blocks each new element makes with the (s-1)-subsets already picked,
+    and keeps a set when it is larger than any kept before.  A branch is
+    dropped once it has seen both labels, which every superset would see
+    too, or once the positions left cannot make it larger than the kept set.
+    Agreement passes to subsets, and preorder meets the sets of each size in
+    ``combinations`` order, so the set kept last is the answer."""
     count = len(bits)
     picked: list[int] = []
+    kept = None  # (set, label) of the largest uniform set so far
+    size = s - 1  # its size
     label_of = table.__getitem__
     combinations = itertools.combinations
 
-    def extend(start: int, label: Optional[bool]) -> Optional[bool]:
-        need = size - len(picked)
-        if not need:
-            return label
-        for i in range(start, count - need + 1):
+    def extend(start: int, label: Optional[bool]) -> None:
+        nonlocal kept, size
+        for i in range(start, count):
+            if len(picked) + count - i <= size:
+                return
             b = bits[i]
             new = map(label_of, map(b.__add__, map(sum, combinations(picked, s - 1))))
             seen = next(new, None) if label is None else label
             if seen is not None and (not seen) in new:
                 continue
             picked.append(b)
-            found = extend(i + 1, seen)
-            if found is not None:
-                return found
+            if size < len(picked) < count:
+                kept, size = (picked[:], seen), len(picked)
+            extend(i + 1, seen)
             picked.pop()
-        return None
 
-    label = extend(0, None)
-    return None if label is None else (picked, label)
+    extend(0, None)
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +509,19 @@ class LevelTree:
     def level(self, l: int) -> tuple[str, ...]:
         if not 0 <= l <= self.depth:
             raise InputError(f"level {l} out of range")
+        return self._levels[l]
+
+    @cached_property
+    def _levels(self) -> tuple[tuple[str, ...], ...]:
+        """The nodes of every level, sorted.  Built once and kept in the
+        instance dict, outside ``==``, ``hash`` and ``repr``."""
         if self.nodes is None:
-            return tuple("".join(bits) for bits in itertools.product("01", repeat=l))
-        return tuple(sorted(n for n in self.nodes if len(n) == l))
+            return tuple(tuple(map("".join, itertools.product("01", repeat=l))) for l in range(self.depth + 1))
+        return tuple(tuple(sorted(n for n in self.nodes if len(n) == l)) for l in range(self.depth + 1))
+
+    @cached_property
+    def _spans(self) -> list[list[tuple[list[int], list[int]]]]:
+        return _hl_spans(self._levels)
 
     def extensions(self, t: str, l: int) -> tuple[str, ...]:
         return tuple(v for v in self.level(l) if v.startswith(t))
@@ -574,10 +583,11 @@ def hl_search(trees: Sequence[LevelTree], f: LevelColoring) -> Optional[HlWitnes
     """Search for a level, stems, and per-level dense sets on which the
     coloring is constant, preferring low commitment levels.
 
-    Each tree's levels are listed once per call, sorted, so the extensions
-    of a node to a lower level are one run of positions and a node set is a
-    bitmask over them.  Those runs, as bounds and masks, are listed once per
-    call too, for every pair of levels m <= n (``_hl_spans``), and stems are
+    Each tree keeps its levels, sorted (``_levels``), so the extensions of
+    a node to a lower level are one run of positions and a node set is a
+    bitmask over them.  It keeps those runs too, as bounds and masks, for
+    every pair of levels m <= n (``_spans``); they do not depend on deeper
+    levels, so a tree deeper than the coloring serves it.  Stems are
     addressed by position.  The coloring becomes one table per level n and
     color: on one tree the mask of level-n nodes of that color; on two, for
     each level-n node v0 of the first tree, the mask of level-n nodes v1 of
@@ -592,6 +602,12 @@ def hl_search(trees: Sequence[LevelTree], f: LevelColoring) -> Optional[HlWitnes
     of those nodes has none left.  Picks only shrink that set, so no dropped
     choice could have been completed, and the witness is the one a scan of
     every choice function in product order returns.
+
+    A stem's rows are tried from m = depth - 1 down, where a row is most
+    often missing (it has the most level-m nodes to meet), and the stem is
+    left at the first missing row.  The witness needs every row, and each
+    row is the first (n, color) for its own m whatever the order, so the
+    order changes only the work.
     """
     d = len(trees)
     if d != f.d:
@@ -605,22 +621,21 @@ def hl_search(trees: Sequence[LevelTree], f: LevelColoring) -> Optional[HlWitnes
         raise SizeCapError("depth beyond 5 is out of scale")
     if f.k > 2:
         raise SizeCapError("more than two colors is out of scale")
-    levels = [tuple(T.level(l) for l in range(depth + 1)) for T in trees]
+    levels = [T._levels[: depth + 1] for T in trees]
     tables = [_hl_tables(levels, f, n) for n in range(depth + 1)]
     if depth < 1:
         return None
-    spans = [_hl_spans(L) for L in levels]
+    spans = [T._spans for T in trees]
     for l in range(depth):
         for stems in itertools.product(*(range(len(L[l])) for L in levels)):
             rows = []
-            for m in range(l, depth):
+            for m in range(depth - 1, l - 1, -1):
                 row = _hl_row(levels, spans, tables, stems, l, m)
                 if row is None:
-                    rows = None
                     break
                 rows.append((m, row))
-            if rows is not None:
-                return HlWitness(l, tuple(L[l][i] for L, i in zip(levels, stems)), tuple(rows))
+            else:
+                return HlWitness(l, tuple(L[l][i] for L, i in zip(levels, stems)), tuple(rows[::-1]))
     return None
 
 

@@ -1,6 +1,8 @@
 import gc
 import itertools
 import random
+import sys
+import threading
 import weakref
 
 import pytest
@@ -12,7 +14,7 @@ from helpers import (
     rejects_reference,
 )
 
-from forcinglab import InputError, ramsey, zoo
+from forcinglab import InputError, zoo
 from forcinglab.forcing import FORCES, FORCES_NEGATION, UNDECIDED, decides
 from forcinglab.ramsey import (
     ACCEPTS,
@@ -39,7 +41,7 @@ from forcinglab.ramsey import (
     seq_tree_rank_certificate,
     strong_subtree_assemble,
 )
-from forcinglab.ramsey import _accepts, _colex, _first_uniform, _rejects
+from forcinglab.ramsey import _accepts, _colex, _largest_uniform, _rejects
 from forcinglab.zoo import mathias_decode, mathias_id, mathias_pure_extension
 
 
@@ -199,18 +201,28 @@ def test_gnw_engine_matches_reference():
     assert {"decide", "shrink", "exhausted", "reject-walk", "excluded"} <= routes
 
 
-def test_gnw_construct_sweep_in_workload_shape(monkeypatch):
+def _shrink_depths(pool, transcript):
+    """How far below the size of avail each shrink of the transcript kept
+    its set.  Every settle of one step has the newest chosen element as the
+    largest of a_t, and avail keeps only the elements past it."""
+    avail = frozenset(pool)
+    depths = []
+    for entry in transcript:
+        if entry[0] not in ("decide", "shrink"):
+            continue
+        a_t = entry[1]
+        if a_t:
+            avail = frozenset(x for x in avail if x > a_t[-1])
+        if entry[0] == "shrink":
+            depths.append(len(avail) - len(entry[2]))
+            avail = entry[2]
+    return depths
+
+
+def test_gnw_construct_sweep_in_workload_shape():
     # the benchmark's gnw shape: 8-10 points, up to 12 members of 1-3
     # elements, block size 2-4; half the runs on a ground set
-    searched = []  # per size search: how far below the full size, found or not
-    search = ramsey._first_uniform
-
-    def counted(table, bits, s, size):
-        found = search(table, bits, s, size)
-        searched.append((len(bits) - size, found is not None))
-        return found
-
-    monkeypatch.setattr(ramsey, "_first_uniform", counted)
+    below = []  # per shrink: how far below the size of avail the kept set is
     rng = random.Random("gnw-construct-sweep")
     for _ in range(150):
         n = rng.randint(8, 10)
@@ -224,28 +236,34 @@ def test_gnw_construct_sweep_in_workload_shape(monkeypatch):
         h = rng.randint(s, 4)
         built = gnw_construct(F, s, h, ground)
         assert built == gnw_construct_reference(F, s, h, ground)
-    # shrinks that found nothing for several sizes before keeping a set
-    assert sum(found and below >= 3 for below, found in searched) >= 10
+        below.extend(_shrink_depths(ground if ground is not None else range(n), built.transcript))
+    # shrinks whose search passed several sizes before keeping a set
+    assert sum(depth >= 3 for depth in below) >= 10
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
-def test_first_uniform_matches_combinations_scan(s):
+def test_largest_uniform_matches_combinations_scan(s):
     rng = random.Random(f"first-uniform/{s}")
     for _ in range(200):
-        count = rng.randint(s, 9)
+        # count == s leaves no size in range; count < s has no block at all
+        count = rng.randint(max(s - 1, 0), 9)
         bits = [1 << x for x in sorted(rng.sample(range(12), count))]
         bias = rng.random()
         table = {sum(block): rng.random() < bias for block in itertools.combinations(bits, s)}
-        for size in range(s, count + 1):
-            expected = None
+        expected = None
+        for size in range(count - 1, s - 1, -1):
             for B in itertools.combinations(bits, size):
                 labels = {table[sum(block)] for block in itertools.combinations(B, s)}
                 if len(labels) == 1:
                     expected = (list(B), labels.pop())
                     break
-            assert _first_uniform(table, bits, s, size) == expected
-            if size == s:
-                assert expected == (bits[:s], table[sum(bits[:s])])
+            if expected is not None:
+                break
+        assert _largest_uniform(table, bits, s) == expected
+        if count > s:
+            assert expected is not None and len(expected[0]) >= s
+        else:
+            assert expected is None
 
 
 def test_colex_matches_sorted_form():
@@ -355,6 +373,14 @@ def _pruned_tree(rng, depth):
     return LevelTree(depth, frozenset(nodes))
 
 
+def _random_coloring(rng, trees, depth, k=2):
+    values = {}
+    for l in range(depth + 1):
+        for combo in itertools.product(*(T.level(l) for T in trees)):
+            values[combo] = rng.randrange(k)
+    return LevelColoring(len(trees), depth, k, values)
+
+
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("k", [1, 2])
 def test_hl_search_matches_reference_scan(d, k):
@@ -363,11 +389,7 @@ def test_hl_search_matches_reference_scan(d, k):
         for pruned in (False, True):
             for _ in range(6):
                 trees = [_pruned_tree(rng, depth) if pruned else LevelTree(depth) for _ in range(d)]
-                values = {}
-                for l in range(depth + 1):
-                    for combo in itertools.product(*(T.level(l) for T in trees)):
-                        values[combo] = rng.randrange(k)
-                f = LevelColoring(d, depth, k, values)
+                f = _random_coloring(rng, trees, depth, k)
                 w = hl_search(trees, f)
                 assert w == hl_search_reference(trees, f)
                 assert w is None or check_hl_witness(trees, f, w)
@@ -390,6 +412,71 @@ def test_hl_search_matches_reference_on_depth_4_pairs():
         assert w is not None and check_hl_witness(trees, f, w)
         levels.append(w.level)
     assert max(levels[:8]) >= 2
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_hl_search_on_trees_deeper_than_the_coloring(d):
+    # a tree keeps the levels and runs of all its levels, and a coloring of
+    # lower depth reads only the first ones
+    rng = random.Random(f"hl-deeper/{d}")
+    for pruned in (False, True):
+        for depth in (1, 2, 3):
+            for _ in range(4):
+                trees = [_pruned_tree(rng, 4) if pruned else LevelTree(4) for _ in range(d)]
+                f = _random_coloring(rng, trees, depth)
+                w = hl_search(trees, f)
+                assert w == hl_search_reference(trees, f)
+                assert w is None or check_hl_witness(trees, f, w)
+
+
+def test_hl_search_one_pair_of_trees_serves_several_depths():
+    rng = random.Random("hl-shared-trees")
+    for pruned in (False, True):
+        trees = [_pruned_tree(rng, 4) if pruned else LevelTree(4) for _ in range(2)]
+        for depth in (4, 2, 3) * 2:
+            f = _random_coloring(rng, trees, depth)
+            assert hl_search(trees, f) == hl_search_reference(trees, f)
+
+
+def test_kept_tree_tables_leave_equality_alone():
+    T, U = LevelTree(4), LevelTree(4)
+    rng = random.Random("hl-kept-tables")
+    levels = [tuple("".join(p) for p in itertools.product("01", repeat=l)) for l in range(5)]
+    values = {combo: rng.randint(0, 1) for L in levels for combo in itertools.product(L, L)}
+    assert hl_search([T, T], LevelColoring(2, 4, 2, values)) is not None
+    assert "_spans" in vars(T) and "_levels" not in vars(U)
+    assert T == U and hash(T) == hash(U) and repr(T) == repr(U)
+    assert [T.level(l) for l in range(5)] == levels
+    P = _pruned_tree(rng, 4)
+    assert [P.level(l) for l in range(5)] == [tuple(sorted(v for v in P.nodes if len(v) == l)) for l in range(5)]
+
+
+def test_fresh_trees_shared_across_threads():
+    # the first calls race to build each tree's kept tables; every build
+    # gives the same value, so every thread gets the reference witness
+    rng = random.Random("hl-threads")
+    f = _random_coloring(rng, [LevelTree(4)] * 2, 4)
+    expected = hl_search_reference([LevelTree(4)] * 2, f)
+    trees = [LevelTree(4), LevelTree(4)]
+    start = threading.Barrier(8)
+    results = [None] * 8
+
+    def work(w):
+        start.wait()
+        results[w] = hl_search(trees, f)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == [expected] * 8
 
 
 @pytest.mark.parametrize("d", [1, 2])
