@@ -5,9 +5,12 @@ U-perp collects the conditions incompatible with every member of U and
 ro = perp twice.  Meet is intersection, complement is perp, join is ro of
 the union.  Condition sets are carried as bitmasks over the base poset.
 
-Small algebras list their elements on first read (they are generated by
-the atoms sitting over the minimal equivalence classes); larger ones stay
-lazy, with every operation normalizing through ro, and equality decided on
+On a finite poset the algebra is atomic, with one atom per minimal filter,
+so everything is read off the base poset's ``Spectrum``: an element is the
+set of conditions all of whose minimal filters lie in some set V of
+filters (``back(V)``), perp(U) is ``back`` of the filters U misses, and
+ro(U) is ``back`` of the filters U meets.  Small algebras list their
+elements on first read; larger ones stay lazy, with equality decided on
 normalized masks.
 """
 
@@ -19,31 +22,30 @@ MATERIALIZE_CAP = 4096
 
 
 class RegularOpenAlgebra:
-    """The algebra of regular-open downward closed subsets of a poset."""
+    """The algebra of regular-open downward closed subsets of a poset.
 
-    __slots__ = ("base", "atoms", "_elements", "_emb")
+    ``atoms`` holds one atom per minimal filter, in the order of
+    ``base.minimal_filters()``: the conditions whose only minimal filter it
+    is."""
+
+    __slots__ = ("base", "spectrum", "atoms", "_elements")
 
     def __init__(self, base: Poset):
         self.base = base
-        self.atoms = tuple(self.ro(1 << base.index[w]) for w, _ in base.minimal_filters())
+        self.spectrum = base.spectrum()
+        self.atoms = tuple(self.spectrum.back(1 << j) for j in range(len(self.spectrum.filters)))
         self._elements: tuple[int, ...] | None = None
-        self._emb: dict[str, int] = {}
 
     @property
     def elements(self) -> tuple[int, ...] | None:
-        """Every element in increasing order, built on first read; None when
-        the algebra has more than ``MATERIALIZE_CAP`` elements."""
+        """Every element in increasing order, one per set of atoms, built on
+        first read; None when the algebra has more than ``MATERIALIZE_CAP``
+        elements."""
         if 1 << len(self.atoms) > MATERIALIZE_CAP:
             return None
         if self._elements is None:
-            elements = set()
-            for sub in range(1 << len(self.atoms)):
-                u = 0
-                for j, a in enumerate(self.atoms):
-                    if sub >> j & 1:
-                        u |= a
-                elements.add(self.ro(u))
-            self._elements = tuple(sorted(elements))
+            back = self.spectrum.back
+            self._elements = tuple(sorted(back(sub) for sub in range(1 << len(self.atoms))))
         return self._elements
 
     # -- Boolean structure -------------------------------------------------
@@ -58,10 +60,10 @@ class RegularOpenAlgebra:
 
     def perp(self, u: int) -> int:
         """Conditions incompatible with every member of u."""
-        return self.base.full_mask & ~self.base.compat_kernel().union(u)
+        return self.spectrum.perp(u)
 
     def ro(self, u: int) -> int:
-        return self.perp(self.perp(u))
+        return self.spectrum.back(self.spectrum.filters_of(u))
 
     def is_element(self, u: int) -> bool:
         return self.ro(u) == u
@@ -79,12 +81,9 @@ class RegularOpenAlgebra:
         return a & ~b == 0
 
     def embedding(self, p: str) -> int:
-        """ro of the downward closure of p; its nonzero image is dense."""
-        cached = self._emb.get(p)
-        if cached is None:
-            cached = self.ro(self.base.down_mask(p))
-            self._emb[p] = cached
-        return cached
+        """ro of the downward closure of p: the conditions all of whose
+        minimal filters pass through p.  Its nonzero image is dense."""
+        return self.spectrum.back(self.spectrum.cond_filters[self.base.check_condition(p)])
 
 
 def boolean_completion(P: Poset) -> RegularOpenAlgebra:

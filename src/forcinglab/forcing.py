@@ -22,8 +22,9 @@ work done and what the memo tables keep.
 
 Back to conditions: ``p`` forces ``f`` exactly when ``e(p)`` lies inside
 ``||f||``, so the conditions forcing ``f`` are those in no minimal filter
-missing from ``||f||``, one kernel union over the filter masks.  ``forces``
-and ``decides`` read the filter mask directly.
+missing from ``||f||``, one kernel union over the filter masks
+(``Spectrum.back``).  ``forces`` and ``decides`` read the filter mask
+directly.
 
 The independent check is purely semantic: on a finite poset the upward
 closure of a minimal condition meets every dense set, so evaluating a
@@ -53,7 +54,7 @@ from .completion import RegularOpenAlgebra
 from .errors import ForcingLabError, InputError
 from .formulas import And, Check, Eq, ExistsIn, ForallIn, Formula, Imp, Mem, Not, Or, Term
 from .names import HF, Name, _constant_value, _interpret, check_name, validate_name
-from .poset import Poset, RowUnion
+from .poset import Poset
 
 
 def context_for(P: Poset) -> "ForcingContext":
@@ -69,9 +70,11 @@ class ForcingContext:
 
     ``value`` evaluates a formula to its Boolean value in RO(P), a mask over
     the minimal filters (its atoms), by the recursion in the module
-    docstring.  A condition ``p`` forces the formula exactly when
-    ``cond_filters[p]`` lies inside that mask; ``_back`` turns a value into
-    the set of conditions forcing it, for the condition-mask readers.
+    docstring.  The filters and ``e(p)`` are the poset's own ``Spectrum``,
+    read from ``spectrum``: a condition ``p`` forces the formula exactly when
+    ``spectrum.cond_filters[p]`` lies inside that mask, and
+    ``spectrum.back`` turns a value into the set of conditions forcing it,
+    for the condition-mask readers.
 
     Every table holds filter masks: ``_mem`` and ``_eq`` the values of the
     atomic formulas on two names, ``_forces`` the values of formulas, and
@@ -94,24 +97,7 @@ class ForcingContext:
     def __init__(self, P: Poset):
         sys.setrecursionlimit(max(sys.getrecursionlimit(), 50000))
         self.poset = P
-        self.n = len(P)
-        self.full = P.full_mask
-        filters = P.minimal_filters()
-        self.filter_witnesses = tuple(w for w, _ in filters)
-        self.filter_masks = tuple(m for _, m in filters)
-        self.nf = len(filters)
-        self.filter_full = (1 << self.nf) - 1
-        # cond_filters[i]: which minimal filters contain condition i; these are
-        # simultaneously the filters whose witness lies below condition i.
-        cond_filters = [0] * self.n
-        for fidx, fmask in enumerate(self.filter_masks):
-            m = fmask
-            while m:
-                low = m & -m
-                cond_filters[low.bit_length() - 1] |= 1 << fidx
-                m ^= low
-        self.cond_filters = cond_filters
-        self._filter_kernel: Optional[RowUnion] = None
+        self.spectrum = P.spectrum()
         self._mem: dict[tuple[Name, Name], int] = {}
         self._eq: dict[tuple[Name, Name], int] = {}
         self._forces: dict[tuple, int] = {}
@@ -119,20 +105,8 @@ class ForcingContext:
         # name -> the HF set it denotes under every filter, or None; a
         # non-constant name here has its children here too
         self._constants: dict[Name, Optional[HF]] = {}
-        self._interp: list[dict[Name, HF]] = [{} for _ in range(self.nf)]
+        self._interp: list[dict[Name, HF]] = [{} for _ in self.spectrum.filters]
         self._validated: set[Name] = set()
-
-    def _back(self, V: int) -> int:
-        """Conditions all of whose minimal filters are in the filter mask V:
-        those forcing a formula of value V.  Every condition lies in some
-        minimal filter, so the empty mask gives no condition."""
-        if V == self.filter_full:
-            return self.full
-        if not V:
-            return 0
-        if self._filter_kernel is None:
-            self._filter_kernel = RowUnion(self.filter_masks)
-        return self.full & ~self._filter_kernel.union(~V & self.filter_full)
 
     # -- names ----------------------------------------------------------------
 
@@ -163,7 +137,7 @@ class ForcingContext:
         built once per context; the per-filter tables hold the rest."""
         value = self.constant(name)
         if value is None:
-            members = self.filter_masks[fidx]
+            members = self.spectrum.filter_masks[fidx]
             value = _interpret(name, members, self.poset.index, self._interp[fidx], self._constants)
         return value
 
@@ -177,34 +151,35 @@ class ForcingContext:
         cy = self.constant(y)
         if cy is not None and (cx := self.constant(x)) is not None:
             # the check-name lemma: forced everywhere or nowhere, by the values
-            self._mem[key] = self.filter_full if cx in cy else 0
+            self._mem[key] = self.spectrum.filter_full if cx in cy else 0
             return self._mem[key]
         index = self.poset.index
-        cond_filters = self.cond_filters
+        cond_filters = self.spectrum.cond_filters
+        full = self.spectrum.filter_full
         V = 0
         for child, cond in y.entries:
             V |= cond_filters[index[cond]] & self._eq_value(x, child)
-            if V == self.filter_full:
+            if V == full:
                 break
         self._mem[key] = V
         return V
 
     def _eq_value(self, x: Name, y: Name) -> int:
         if x is y:
-            return self.filter_full
+            return self.spectrum.filter_full
         key = (x, y)
         hit = self._eq.get(key)
         if hit is not None:
             return hit
         cx = self.constant(x)
         if cx is not None and (cy := self.constant(y)) is not None:
-            self._eq[key] = self._eq[(y, x)] = self.filter_full if cx == cy else 0
+            self._eq[key] = self._eq[(y, x)] = self.spectrum.filter_full if cx == cy else 0
             return self._eq[key]
         index = self.poset.index
-        cond_filters = self.cond_filters
+        cond_filters = self.spectrum.cond_filters
         # the name with fewer entries first: an empty mask skips the other
         a, b = (x, y) if len(x.entries) <= len(y.entries) else (y, x)
-        V = self.filter_full
+        V = self.spectrum.filter_full
         for s, t in ((a, b), (b, a)):
             for child, cond in s.entries:
                 V &= ~cond_filters[index[cond]] | self._mem_value(child, t)
@@ -220,11 +195,11 @@ class ForcingContext:
 
     def mem_set(self, x: Name, y: Name) -> int:
         """Conditions forcing membership of x in y."""
-        return self._back(self._mem_value(x, y))
+        return self.spectrum.back(self._mem_value(x, y))
 
     def eq_set(self, x: Name, y: Name) -> int:
         """Conditions forcing equality of x and y."""
-        return self._back(self._eq_value(x, y))
+        return self.spectrum.back(self._eq_value(x, y))
 
     # -- formula values ------------------------------------------------------
 
@@ -258,33 +233,33 @@ class ForcingContext:
         hit = table.get(key)
         if hit is not None:
             return hit
-        full = self.filter_full
-        index = self.poset.index
         if isinstance(f, (Mem, Eq)):
             out = atom(isinstance(f, Mem), self._resolve(f.left, env, binds), self._resolve(f.right, env, binds))
         elif isinstance(f, Not):
-            out = ~self._eval(f.sub, env, binds, table, atom) & full
+            out = ~self._eval(f.sub, env, binds, table, atom) & self.spectrum.filter_full
         elif isinstance(f, And):
             out = self._eval(f.left, env, binds, table, atom) & self._eval(f.right, env, binds, table, atom)
         elif isinstance(f, Or):
             out = self._eval(f.left, env, binds, table, atom) | self._eval(f.right, env, binds, table, atom)
         elif isinstance(f, Imp):
             left = self._eval(f.left, env, binds, table, atom)
-            out = (~left | self._eval(f.right, env, binds, table, atom)) & full
+            out = (~left | self._eval(f.right, env, binds, table, atom)) & self.spectrum.filter_full
         elif isinstance(f, ForallIn):
+            S, index = self.spectrum, self.poset.index
             w = self._resolve(f.bound, env, binds)
-            out = full
+            out = S.filter_full
             for child, cond in w.entries:
                 sub = self._eval(f.body, env, {**binds, f.var: child}, table, atom)
-                out &= ~self.cond_filters[index[cond]] | sub
+                out &= ~S.cond_filters[index[cond]] | sub
                 if not out:
                     break
         elif isinstance(f, ExistsIn):
+            S, index = self.spectrum, self.poset.index
             w = self._resolve(f.bound, env, binds)
             out = 0
             for child, cond in w.entries:
-                out |= self.cond_filters[index[cond]] & self._eval(f.body, env, {**binds, f.var: child}, table, atom)
-                if out == full:
+                out |= S.cond_filters[index[cond]] & self._eval(f.body, env, {**binds, f.var: child}, table, atom)
+                if out == S.filter_full:
                     break
         table[key] = out
         return out
@@ -303,7 +278,7 @@ class ForcingContext:
 
     def forces_set(self, f: Formula, env: Mapping[str, Name], binds: Optional[dict[str, Name]] = None) -> int:
         """Conditions forcing f."""
-        return self._back(self.value(f, env, binds))
+        return self.spectrum.back(self.value(f, env, binds))
 
     # -- semantic oracle -------------------------------------------------------
 
@@ -312,9 +287,9 @@ class ForcingContext:
         if cx is not None and cy is not None:
             # the check-name lemma: true under every filter or under none
             holds = cx in cy if is_mem else cx == cy
-            return self.filter_full if holds else 0
+            return self.spectrum.filter_full if holds else 0
         out = 0
-        for fidx in range(self.nf):
+        for fidx in range(len(self.spectrum.filters)):
             xv = self.interp(x, fidx)
             yv = self.interp(y, fidx)
             if xv in yv if is_mem else xv == yv:
@@ -327,7 +302,7 @@ class ForcingContext:
 
     def oracle_condition_set(self, f: Formula, env: Mapping[str, Name]) -> int:
         """Conditions p such that f holds under every minimal filter through p."""
-        return self._back(self.oracle_mask(f, env))
+        return self.spectrum.back(self.oracle_mask(f, env))
 
 
 # -- public operations ----------------------------------------------------
@@ -348,7 +323,7 @@ def forces_atomic(P: Poset, p: str, kind: str, x: Name, y: Name) -> bool:
 
 def forces(P: Poset, p: str, f: Formula, env: Mapping[str, Name]) -> bool:
     ctx = context_for(P)
-    return not ctx.cond_filters[P.check_condition(p)] & ~ctx.value(f, env)
+    return not ctx.spectrum.cond_filters[P.check_condition(p)] & ~ctx.value(f, env)
 
 
 def forces_set(P: Poset, f: Formula, env: Mapping[str, Name]) -> frozenset[str]:
@@ -365,7 +340,7 @@ def decides(P: Poset, p: str, f: Formula, env: Mapping[str, Name]) -> str:
     """Which of p forcing f, p forcing its negation, or neither, holds."""
     ctx = context_for(P)
     V = ctx.value(f, env)
-    e = ctx.cond_filters[P.check_condition(p)]
+    e = ctx.spectrum.cond_filters[P.check_condition(p)]
     if not e & ~V:
         return FORCES
     if not e & V:
@@ -384,12 +359,12 @@ def decide_name_value(P: Poset, p: str, y: Name) -> list[tuple[str, HF]]:
     ctx.require_valid(y)
     pi = P.check_condition(p)
     out = []
-    for fidx, w in enumerate(ctx.filter_witnesses):
-        if not ctx.filter_masks[fidx] >> pi & 1:
+    for fidx, (w, members) in enumerate(P.minimal_filters()):
+        if not members >> pi & 1:
             continue
         z = ctx.interp(y, fidx)
         zname = check_name(z, P)
-        if ctx.cond_filters[P.index[w]] & ~ctx._eq_value(y, zname):
+        if ctx.spectrum.cond_filters[P.index[w]] & ~ctx._eq_value(y, zname):
             raise ForcingLabError(
                 f"decision check failed: {w!r} does not force the computed value of the name"
             )

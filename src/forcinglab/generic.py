@@ -38,11 +38,6 @@ def _least(P: Poset, mask: int) -> str:
     return P.ids[(mask & -mask).bit_length() - 1]
 
 
-def _allinc(P: Poset, fmask: int) -> int:
-    """Conditions incompatible with every member of fmask."""
-    return P.full_mask & ~P.compat_kernel().union(fmask)
-
-
 def build_generic(P: Poset, req: GenericRequest) -> Filter:
     """Descend a chain serving each family in order, then close upward.
 
@@ -63,7 +58,7 @@ def build_generic(P: Poset, req: GenericRequest) -> Filter:
         if inside:
             cur = _least(P, inside)
             continue
-        allinc = _allinc(P, fmask)
+        allinc = P.spectrum().perp(fmask)
         if below & allinc:
             cur = _least(P, below & allinc)
             continue
@@ -78,7 +73,7 @@ def is_generic_for(
     gmask = G.mask()
     for k, fam in enumerate(families):
         fmask = P.family_mask(_members(fam))
-        if not gmask & fmask and not gmask & _allinc(P, fmask):
+        if not gmask & fmask and not gmask & P.spectrum().perp(fmask):
             return False, k
     return True, None
 

@@ -10,8 +10,10 @@ predicates (density, exhaustiveness, compatibility) cheap.
 
 The hot set operations of the forcing and completion layers all compute a
 union of rows of a fixed table indexed by the bits of a mask: the upward
-closure of S is the union of the ``up`` rows over S, and the conditions
-compatible with some member of S are the union of the ``compat`` rows.
+closure of S is the union of the ``up`` rows over S, the minimal filters
+meeting S are the union of the spectrum's condition rows over S, and the
+conditions lying in some filter of a filter mask are the union of the
+spectrum's filter rows over it.
 ``RowUnion`` answers such unions with the Method of Four Russians
 (Arlazarov, Dinic, Kronrod and Faradzev, 1970): the rows are cut into chunks
 of four consecutive indices, and for each chunk a 16-entry table holds the
@@ -19,8 +21,18 @@ union of every subset of its four rows (entry m is the union of the rows
 whose bits are set in m; single-row entries are the row objects themselves).
 A query walks the mask byte by byte and ORs the low-nibble entry of one chunk
 with the high-nibble entry of the next, so it costs one step per nonzero byte
-instead of one per condition.  ``Poset`` builds its ``up`` and ``compat``
-kernels on first use.
+instead of one per condition.  ``Poset`` builds its ``up`` kernel and its
+spectrum on first use, and the spectrum builds its two kernels on first use.
+
+Compatibility and everything derived from it is read off the poset's
+``Spectrum``, its minimal filters, which are the atoms of the regular-open
+algebra RO(P) (Jech, *Set Theory*, 2003, ch. 14).  Write ``e(p)`` for the
+minimal filters through p and ``F(u)`` for the union of ``e(p)`` over p in u.
+Two conditions are compatible iff their ``e`` meet (a common extension has a
+minimal condition below it, whose filter holds both); p lies separatively
+below q iff ``e(p)`` is inside ``e(q)``; the conditions incompatible with
+every member of u are those all of whose minimal filters miss ``F(u)``; and
+ro(u) is the set of conditions all of whose minimal filters lie in ``F(u)``.
 
 ``Poset`` values are not modified after ``__init__`` apart from their lazily
 built caches, which are private and always rebuilt to the same value, so a
@@ -34,6 +46,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import InputError, SizeCapError
@@ -96,6 +109,75 @@ class RowUnion:
         return out
 
 
+class Spectrum:
+    """The minimal filters of a poset, the atoms of its regular-open algebra.
+
+    ``filters`` lists the distinct upward closures of minimal conditions as
+    (witness id, condition mask), one per filter, in identifier order of their
+    least witnesses; equivalent minimal conditions generate the same filter,
+    and a witness lies in its own filter alone.  ``filter_masks`` holds the
+    condition masks by themselves, and ``minimal_mask`` the minimal
+    conditions.  ``cond_filters[i]`` is ``e(i)``, the filters containing
+    condition i, as a mask over filters; these are also the filters whose
+    witness lies below i.  The kernels from conditions to filters and back are
+    built on first use.
+    """
+
+    def __init__(self, P: Poset):
+        down, up = P._down, P._up
+        minimal = 0
+        witness: dict[int, int] = {}
+        for i in range(len(P.ids)):
+            # minimal: everything below i is also above i (same class)
+            if down[i] & ~up[i] == 0:
+                minimal |= 1 << i
+                witness.setdefault(up[i], i)
+        self.minimal_mask = minimal
+        self.filters = tuple((P.ids[i], um) for um, i in witness.items())
+        self.filter_masks = tuple(witness)
+        self.filter_full = (1 << len(witness)) - 1
+        self.cond_full = P.full_mask
+        cond_filters = [0] * len(P.ids)
+        for fidx, m in enumerate(self.filter_masks):
+            while m:
+                low = m & -m
+                cond_filters[low.bit_length() - 1] |= 1 << fidx
+                m ^= low
+        self.cond_filters = cond_filters
+
+    @cached_property
+    def _cond_kernel(self) -> RowUnion:
+        return RowUnion(self.cond_filters)
+
+    @cached_property
+    def _filter_kernel(self) -> RowUnion:
+        return RowUnion(self.filter_masks)
+
+    def filters_of(self, u: int) -> int:
+        """``F(u)``: the minimal filters through some member of the condition
+        mask u."""
+        return self._cond_kernel.union(u)
+
+    def members(self, V: int) -> int:
+        """The conditions lying in some filter of the filter mask V."""
+        return self._filter_kernel.union(V)
+
+    def back(self, V: int) -> int:
+        """The conditions all of whose minimal filters are in the filter mask
+        V.  Every condition lies in some minimal filter, so the empty mask
+        gives no condition."""
+        if V == self.filter_full:
+            return self.cond_full
+        if not V:
+            return 0
+        return self.cond_full & ~self._filter_kernel.union(~V & self.filter_full)
+
+    def perp(self, u: int) -> int:
+        """The conditions incompatible with every member of the condition
+        mask u: those with no minimal filter in ``F(u)``."""
+        return self.back(~self.filters_of(u) & self.filter_full)
+
+
 class Poset:
     """A finite reflexive-transitive order with a greatest element.
 
@@ -112,11 +194,8 @@ class Poset:
         "_down",
         "_up",
         "_full",
-        "_compat",
         "_up_kernel",
-        "_compat_kernel",
-        "_minimal_mask",
-        "_minimal_filters",
+        "_spectrum",
         "_family_masks",
         "_context",
         "__weakref__",
@@ -173,11 +252,8 @@ class Poset:
                 up[low.bit_length() - 1] |= bit
                 di ^= low
         self._up = up
-        self._compat: Optional[list[int]] = None
         self._up_kernel: Optional[RowUnion] = None
-        self._compat_kernel: Optional[RowUnion] = None
-        self._minimal_mask: Optional[int] = None
-        self._minimal_filters: Optional[tuple[tuple[str, int], ...]] = None
+        self._spectrum: Optional[Spectrum] = None
         self._family_masks: dict[frozenset[str], int] = {}
         self._context = None
 
@@ -236,15 +312,10 @@ class Poset:
         return bool(self._down[self.check_condition(q)] >> pi & 1)
 
     def compat_masks(self) -> list[int]:
-        """compat_masks()[i] = bitmask of conditions compatible with ids[i].
-
-        Those are the conditions above some r <= ids[i], so row i is the
-        upward closure of the down-set of i.
-        """
-        if self._compat is None:
-            up = self.up_kernel()
-            self._compat = [up.union(d) for d in self._down]
-        return self._compat
+        """compat_masks()[i] = bitmask of conditions compatible with ids[i]:
+        the members of the minimal filters through ids[i]."""
+        S = self.spectrum()
+        return [S.members(e) for e in S.cond_filters]
 
     def up_kernel(self) -> RowUnion:
         """``union(S)`` is the upward closure of S."""
@@ -252,11 +323,11 @@ class Poset:
             self._up_kernel = RowUnion(self._up)
         return self._up_kernel
 
-    def compat_kernel(self) -> RowUnion:
-        """``union(S)`` is the set of conditions compatible with some member of S."""
-        if self._compat_kernel is None:
-            self._compat_kernel = RowUnion(self.compat_masks())
-        return self._compat_kernel
+    def spectrum(self) -> Spectrum:
+        """The minimal filters and the kernels over them, built on first use."""
+        if self._spectrum is None:
+            self._spectrum = Spectrum(self)
+        return self._spectrum
 
     def compatible(self, p: str, q: str) -> bool:
         """True iff some r satisfies r <= p and r <= q."""
@@ -266,15 +337,7 @@ class Poset:
 
     def minimal_mask(self) -> int:
         """Bitmask of conditions with nothing strictly below them."""
-        if self._minimal_mask is None:
-            mask = 0
-            down, up = self._down, self._up
-            for i in range(len(self.ids)):
-                # minimal: everything below i is also above i (same class)
-                if down[i] & ~up[i] == 0:
-                    mask |= 1 << i
-            self._minimal_mask = mask
-        return self._minimal_mask
+        return self.spectrum().minimal_mask
 
     def minimal_filters(self) -> tuple[tuple[str, int], ...]:
         """Distinct upward closures of minimal conditions, as (witness id, mask).
@@ -282,19 +345,7 @@ class Poset:
         Equivalent minimal conditions generate the same filter; only one
         representative per filter is kept, in identifier order.
         """
-        if self._minimal_filters is None:
-            seen: dict[int, str] = {}
-            mm = self.minimal_mask()
-            i = 0
-            while mm:
-                if mm & 1:
-                    um = self._up[i]
-                    if um not in seen:
-                        seen[um] = self.ids[i]
-                mm >>= 1
-                i += 1
-            self._minimal_filters = tuple((wid, um) for um, wid in sorted(seen.items(), key=lambda kv: kv[1]))
-        return self._minimal_filters
+        return self.spectrum().filters
 
 
 @dataclass(frozen=True)
@@ -378,8 +429,10 @@ def is_dense(P: Poset, D: Iterable[str]) -> bool:
 
 
 def is_exhaustive(P: Poset, E: Iterable[str]) -> bool:
-    """Every condition is compatible with some member of E."""
-    return P.compat_kernel().union(P.mask_of(E)) == P.full_mask
+    """Every condition is compatible with some member of E: every minimal
+    filter meets E."""
+    S = P.spectrum()
+    return S.filters_of(P.mask_of(E)) == S.filter_full
 
 
 def is_antichain(P: Poset, A: Iterable[str]) -> bool:
@@ -407,48 +460,42 @@ def extend_to_maximal_antichain(P: Poset, A: Iterable[str], D: Iterable[str]) ->
         raise InputError("antichain is not contained in the supplied dense set")
     if not is_antichain(P, a_set):
         raise InputError("starting set is not an antichain")
-    chosen = sorted(a_set)
-    chosen_mask = 0
-    compat = P.compat_masks()
-    for p in chosen:
-        chosen_mask |= 1 << P.check_condition(p)
+    # the minimal filters through some chosen condition: q is compatible
+    # with a chosen condition iff its own filters meet these
+    cond_filters = P.spectrum().cond_filters
+    taken = 0
+    for p in a_set:
+        taken |= cond_filters[P.check_condition(p)]
+    chosen = set(a_set)
     for q in sorted(d_set):
-        qi = P.check_condition(q)
-        if 1 << qi & chosen_mask:
-            continue
-        if compat[qi] & chosen_mask:
-            continue
-        chosen.append(q)
-        chosen_mask |= 1 << qi
+        e = cond_filters[P.check_condition(q)]
+        if not e & taken:
+            chosen.add(q)
+            taken |= e
     return frozenset(chosen)
 
 
 def is_separative(P: Poset) -> bool:
-    """Whenever p is not below q, some r <= p is incompatible with q."""
-    n = len(P.ids)
-    down = P._down
-    compat = P.compat_masks()
-    for p in range(n):
-        for q in range(n):
-            if down[q] >> p & 1:
-                continue
-            # need r <= p with r incompatible with q
-            if down[p] & ~compat[q] == 0:
-                return False
-    return True
+    """Whenever p is not below q, some r <= p is incompatible with q.
+
+    p lies separatively below q iff every minimal filter through p passes
+    through q, so P is separative iff the conditions whose filters all pass
+    through p are exactly those below p."""
+    S = P.spectrum()
+    return all(S.back(e) == d for e, d in zip(S.cond_filters, P._down))
 
 
 def separative_quotient(P: Poset) -> tuple[Poset, dict[str, str], bool]:
-    """Quotient by equality of compatibility sets, ordered by their containment.
+    """Quotient by equality of the sets of minimal filters through each
+    condition, ordered by their containment.
 
     Returns (quotient, projection, was_separative); each class is named after
     its lexicographically least member.  ``was_separative`` reports whether
     the projection is a bijection that preserves and reflects the order.
     """
-    compat = P.compat_masks()
     classes: dict[int, list[str]] = {}
-    for i, c in enumerate(P.ids):
-        classes.setdefault(compat[i], []).append(c)
+    for c, e in zip(P.ids, P.spectrum().cond_filters):
+        classes.setdefault(e, []).append(c)
     reps = {row: min(members) for row, members in classes.items()}
     projection = {}
     for row, members in classes.items():
@@ -467,13 +514,7 @@ def separative_quotient(P: Poset) -> tuple[Poset, dict[str, str], bool]:
         pairs,
         closed=True,
     )
-    was_separative = len(reps) == len(P.ids)
-    if was_separative:
-        for p in P.ids:
-            for q in P.ids:
-                if P.leq(p, q) != quotient.leq(projection[p], projection[q]):
-                    was_separative = False
-                    break
-            if not was_separative:
-                break
+    # the projection always preserves the order; it reflects it exactly
+    # when P is separative
+    was_separative = len(reps) == len(P.ids) and is_separative(P)
     return quotient, projection, was_separative

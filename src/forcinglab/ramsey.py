@@ -122,7 +122,7 @@ def gnw_accepts(F: FinFamily, a: Iterable[int], A: Iterable[int], s: int) -> str
     with an initial segment in the family.  Rejects: no subset of A of size
     at least s accepts.  The rejection check runs on the equivalent single
     block form (any accepted block is itself an accepting subset); the raw
-    quantifier form lives in ``gnw_status_bruteforce``.
+    quantifier form is kept as a test reference.
     """
     a_t = tuple(sorted(set(a)))
     A_t = tuple(sorted(set(A)))
@@ -168,22 +168,6 @@ def _rejects(F: FinFamily, a_t: tuple[int, ...], A_t: Sequence[int], s: int) -> 
         if _hits(masks, a_mask, C):
             return False
     return True
-
-
-def gnw_status_bruteforce(F: FinFamily, a: Iterable[int], A: Iterable[int], s: int) -> str:
-    """Reference form of the status: rejection quantifies over every subset
-    of size at least s, verbatim."""
-    a_t = tuple(sorted(set(a)))
-    A_t = tuple(sorted(set(A)))
-    if s < 1 or s > len(A_t):
-        raise InputError("block size out of range")
-    if _accepts(F, a_t, A_t, s):
-        return ACCEPTS
-    for r in range(s, len(A_t) + 1):
-        for B in itertools.combinations(A_t, r):
-            if _accepts(F, a_t, B, s):
-                return NEITHER
-    return REJECTS
 
 
 @dataclass(frozen=True)
@@ -794,40 +778,6 @@ def check_hl_witness(
     return True
 
 
-def hl_witness_exists_bruteforce(trees: Sequence[LevelTree], f: LevelColoring) -> bool:
-    """Existence by raw enumeration over all dense-set tuples (tiny depths only)."""
-    depth = f.depth
-    if depth < 1:
-        return False
-    if any(len(T.level(depth)) > 4 for T in trees):
-        raise SizeCapError("bruteforce existence check is for tiny trees")
-    for l in range(depth):
-        for stems in itertools.product(*(T.level(l) for T in trees)):
-            if all(
-                _brute_row_exists(trees, f, stems, m, depth) for m in range(l, depth)
-            ):
-                return True
-    return False
-
-
-def _brute_row_exists(trees, f, stems, m, depth) -> bool:
-    for n in range(m, depth + 1):
-        level_sets = []
-        for T, stem in zip(trees, stems):
-            nodes = T.level(n)
-            subsets = []
-            for bits in range(1, 1 << len(nodes)):
-                D = frozenset(nodes[i] for i in range(len(nodes)) if bits >> i & 1)
-                if is_mn_dense(T, D, stem, m, n):
-                    subsets.append(D)
-            level_sets.append(subsets)
-        for combo in itertools.product(*level_sets):
-            colors = {f.color(tup) for tup in itertools.product(*combo)}
-            if len(colors) == 1:
-                return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Strong subtrees
 # ---------------------------------------------------------------------------
@@ -1063,31 +1013,3 @@ def mathias_pure_decide(M: Poset, p: str, X: ClopenPredicate) -> PureDecision:
         if found:
             return found
     raise ForcingLabError(f"no pure extension of {p!r} decides the predicate")
-
-
-# ---------------------------------------------------------------------------
-# Prefix-closed sequence sets: long paths versus decreasing rank functions
-# ---------------------------------------------------------------------------
-
-
-def seq_tree_has_path(T: Iterable[tuple], n: int) -> bool:
-    """Does the prefix-closed set contain a sequence of length n?"""
-    return any(len(t) >= n for t in T)
-
-
-def seq_tree_rank_certificate(T: Iterable[tuple], n: int) -> Optional[dict[tuple, int]]:
-    """A map into {0..n-1} strictly decreasing along extensions, or None.
-
-    The downward height of each node is the least possible value, so the
-    certificate exists exactly when every node sits at depth below n.
-    """
-    nodes = set(T)
-    if not nodes:
-        return {}
-    heights: dict[tuple, int] = {}
-    for node in sorted(nodes, key=len, reverse=True):
-        kids = [heights[c] for c in heights if len(c) == len(node) + 1 and c[: len(node)] == node]
-        heights[node] = 1 + max(kids) if kids else 0
-    if any(h >= n for h in heights.values()):
-        return None
-    return heights

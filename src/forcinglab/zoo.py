@@ -411,7 +411,6 @@ def marker_dense_family(P: Poset, cid: str, i: int) -> ConditionFamily:
     if not marker_in_range(P, cid, i):
         raise InputError(f"offset {i} is out of range for {cid!r}")
     down = P.down_masks()
-    compat = P.compat_masks()
     pi = P.check_condition(cid)
     disagree = 0
     for j, qid in enumerate(P.ids):
@@ -426,7 +425,7 @@ def marker_dense_family(P: Poset, cid: str, i: int) -> ConditionFamily:
     # incompatible with the word, or below it and either disagreeing or with
     # no extension that disagrees
     unreachable = P.full_mask & ~P.up_kernel().union(disagree)
-    members = P.full_mask & ~compat[pi] | down[pi] & (disagree | unreachable)
+    members = P.spectrum().perp(1 << pi) | down[pi] & (disagree | unreachable)
     return make_family(P, P.ids_of(members), "dense")
 
 

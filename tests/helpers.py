@@ -11,20 +11,27 @@ included: they are exactly what exercises the separative quotient.
 from __future__ import annotations
 
 import itertools
+import random
 from functools import lru_cache
+from typing import Iterable, Sequence
 
 from forcinglab import Poset
-from forcinglab.errors import InputError
+from forcinglab.errors import InputError, SizeCapError
 from forcinglab.formulas import And, Check, Eq, ExistsIn, ForallIn, Imp, Mem, Not, Or
 from forcinglab.names import Name, check_name, constant_value, generic_name, hereditary_names
 from forcinglab.ramsey import (
     ACCEPTS,
     NEITHER,
     REJECTS,
+    FinFamily,
     GnwConstructResult,
     GnwSearchResult,
     HlRow,
     HlWitness,
+    LevelColoring,
+    LevelTree,
+    _accepts,
+    is_mn_dense,
 )
 from forcinglab.sexpr import IDENT, SAtom, SList, SSet
 
@@ -148,7 +155,8 @@ def small_posets_with_top(max_n: int = 5) -> tuple[Poset, ...]:
 # ---------------------------------------------------------------------------
 #
 # The pairwise and row-scan forms of the predicates in ``poset.py``, which
-# must agree with the principal-filter test and the one-union tests there.
+# must agree with the principal-filter test, the one-union tests and the
+# minimal-filter forms there.
 
 
 def is_filter_reference(P: Poset, S) -> bool:
@@ -178,9 +186,92 @@ def is_dense_reference(P: Poset, D) -> bool:
     return all(d & mask for d in P._down)
 
 
+@lru_cache(maxsize=None)
+def compat_rows_reference(P: Poset) -> tuple[int, ...]:
+    """Row i: the conditions j with some condition below both i and j."""
+    down = P._down
+    n = len(down)
+    return tuple(sum(1 << j for j in range(n) if down[i] & down[j]) for i in range(n))
+
+
 def is_exhaustive_reference(P: Poset, E) -> bool:
     mask = P.mask_of(E)
-    return all(c & mask for c in P.compat_masks())
+    return all(c & mask for c in compat_rows_reference(P))
+
+
+def mask_sample(P: Poset, k: int = 40) -> list[int]:
+    """Every condition mask of a poset of at most five conditions; on a larger
+    one the empty and full masks, every singleton and down-set, and k masks
+    drawn from a fixed seed."""
+    if len(P) <= 5:
+        return list(range(P.full_mask + 1))
+    rng = random.Random(f"masks/{P.name}")
+    return (
+        [0, P.full_mask]
+        + [1 << i for i in range(len(P))]
+        + list(P.down_masks())
+        + [rng.getrandbits(len(P)) for _ in range(k)]
+    )
+
+
+def perp_reference(P: Poset, u: int) -> int:
+    """Conditions incompatible with every member of u, off the compat rows."""
+    compat = compat_rows_reference(P)
+    out = 0
+    for i in range(len(P)):
+        if u >> i & 1:
+            out |= compat[i]
+    return P.full_mask & ~out
+
+
+def ro_reference(P: Poset, u: int) -> int:
+    return perp_reference(P, perp_reference(P, u))
+
+
+def is_separative_reference(P: Poset) -> bool:
+    """Whenever p is not below q, some r <= p is incompatible with q."""
+    n = len(P.ids)
+    down = P._down
+    compat = compat_rows_reference(P)
+    for p in range(n):
+        for q in range(n):
+            if down[q] >> p & 1:
+                continue
+            # need r <= p with r incompatible with q
+            if down[p] & ~compat[q] == 0:
+                return False
+    return True
+
+
+def separative_quotient_reference(P: Poset) -> tuple[Poset, dict[str, str], bool]:
+    """Quotient by equality of compat rows, ordered by their containment,
+    with the pairwise check that the projection preserves and reflects the
+    order."""
+    compat = compat_rows_reference(P)
+    classes: dict[int, list[str]] = {}
+    for i, c in enumerate(P.ids):
+        classes.setdefault(compat[i], []).append(c)
+    reps = {row: min(members) for row, members in classes.items()}
+    projection = {c: reps[row] for row, members in classes.items() for c in members}
+    pairs = [(reps[r1], reps[r2]) for r1 in classes for r2 in classes if r1 & ~r2 == 0]
+    quotient = Poset(P.name + ".sep", reps.values(), projection[P.top], pairs, closed=True)
+    was_separative = len(reps) == len(P.ids) and all(
+        P.leq(p, q) == quotient.leq(projection[p], projection[q]) for p in P.ids for q in P.ids
+    )
+    return quotient, projection, was_separative
+
+
+def extend_to_maximal_antichain_reference(P: Poset, A, D) -> frozenset[str]:
+    """The greedy scan of D in identifier order, off the compat rows."""
+    compat = compat_rows_reference(P)
+    chosen = set(A)
+    chosen_mask = P.mask_of(chosen)
+    for q in sorted(set(D)):
+        qi = P.check_condition(q)
+        if not compat[qi] & chosen_mask:
+            chosen.add(q)
+            chosen_mask |= 1 << qi
+    return frozenset(chosen)
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +585,40 @@ def _reference_row(trees, f, stems, m, depth):
     return None
 
 
+def hl_witness_exists_bruteforce(trees: Sequence[LevelTree], f: LevelColoring) -> bool:
+    """Existence by raw enumeration over all dense-set tuples (tiny depths only)."""
+    depth = f.depth
+    if depth < 1:
+        return False
+    if any(len(T.level(depth)) > 4 for T in trees):
+        raise SizeCapError("bruteforce existence check is for tiny trees")
+    for l in range(depth):
+        for stems in itertools.product(*(T.level(l) for T in trees)):
+            if all(
+                _brute_row_exists(trees, f, stems, m, depth) for m in range(l, depth)
+            ):
+                return True
+    return False
+
+
+def _brute_row_exists(trees, f, stems, m, depth) -> bool:
+    for n in range(m, depth + 1):
+        level_sets = []
+        for T, stem in zip(trees, stems):
+            nodes = T.level(n)
+            subsets = []
+            for bits in range(1, 1 << len(nodes)):
+                D = frozenset(nodes[i] for i in range(len(nodes)) if bits >> i & 1)
+                if is_mn_dense(T, D, stem, m, n):
+                    subsets.append(D)
+            level_sets.append(subsets)
+        for combo in itertools.product(*level_sets):
+            colors = {f.color(tup) for tup in itertools.product(*combo)}
+            if len(colors) == 1:
+                return True
+    return False
+
+
 # ---------------------------------------------------------------------------
 # accept / reject
 # ---------------------------------------------------------------------------
@@ -655,6 +780,22 @@ def gnw_construct_reference(F, s, h, ground=None):
     if all(not mem <= H for mem in F.members):
         return GnwConstructResult(H, "a", True, tuple(transcript))
     return GnwConstructResult(H, None, False, tuple(transcript))
+
+
+def gnw_status_bruteforce(F: FinFamily, a: Iterable[int], A: Iterable[int], s: int) -> str:
+    """Reference form of the status: rejection quantifies over every subset
+    of size at least s, verbatim."""
+    a_t = tuple(sorted(set(a)))
+    A_t = tuple(sorted(set(A)))
+    if s < 1 or s > len(A_t):
+        raise InputError("block size out of range")
+    if _accepts(F, a_t, A_t, s):
+        return ACCEPTS
+    for r in range(s, len(A_t) + 1):
+        for B in itertools.combinations(A_t, r):
+            if _accepts(F, a_t, B, s):
+                return NEITHER
+    return REJECTS
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,10 @@ import pytest
 from helpers import (
     CORPUS_PAIRS,
     canonical_env,
+    compat_rows_reference,
     formula_corpus,
     hf_universe,
+    hl_witness_exists_bruteforce,
     quantifier_bounds_small,
 )
 
@@ -58,7 +60,6 @@ from forcinglab.ramsey import (
     gnw_dichotomy_search,
     gnw_verify_horn,
     hl_search,
-    hl_witness_exists_bruteforce,
     mathias_pure_decide,
 )
 from forcinglab.zoo import (
@@ -109,7 +110,7 @@ def test_criterion_2_axiomatic_properties(corpus_posets, corpus_formulas):
         # membership of a coded condition in the generic filter
         codes = condition_codes(P)
         g = env["gen"]
-        compat = P.compat_masks()
+        compat = compat_rows_reference(P)
         separative = is_separative(P)
         for q in P.ids:
             mask = ctx.mem_set(check_name(codes[q], P), g)

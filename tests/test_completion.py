@@ -90,10 +90,30 @@ def test_lazy_algebra_on_big_poset(mathias6):
 
 def test_atoms_are_the_ro_of_minimal_conditions(corpus_posets):
     # one atom per distinct ro of a minimal condition, in identifier order
+    from helpers import ro_reference
+
     for P in corpus_posets:
         A = boolean_completion(P)
+        down, up = P.down_masks(), P._up
         expected = []
         for i in range(len(P)):
-            if P.minimal_mask() >> i & 1 and A.ro(1 << i) not in expected:
-                expected.append(A.ro(1 << i))
+            if down[i] & ~up[i] == 0 and ro_reference(P, 1 << i) not in expected:
+                expected.append(ro_reference(P, 1 << i))
         assert A.atoms == tuple(expected)
+
+
+def test_algebra_matches_the_compat_references(corpus_posets):
+    # perp, ro, the embedding and the element list, each read off the
+    # minimal filters, against double perp over pairwise compat rows
+    from helpers import mask_sample, perp_reference, ro_reference
+
+    for P in corpus_posets:
+        A = boolean_completion(P)
+        for u in mask_sample(P):
+            assert A.perp(u) == perp_reference(P, u), (P.name, u)
+            assert A.ro(u) == ro_reference(P, u), (P.name, u)
+        for p in P.ids:
+            assert A.embedding(p) == ro_reference(P, P.down_mask(p)), (P.name, p)
+        if len(P) <= 5:
+            regular_open = {ro_reference(P, u) for u in range(P.full_mask + 1)}
+            assert A.elements == tuple(sorted(regular_open)), P.name

@@ -81,10 +81,12 @@ def test_filter_name_membership_simple_form(P):
 
 def test_filter_name_membership_general_form():
     # on a non-separative order the compatibility form is the right one
+    from helpers import compat_rows_reference
+
     chain = Poset("chain3", ["a", "b", "t"], "t", [("b", "a"), ("a", "t")])
     g = generic_name(chain)
     codes = condition_codes(chain)
-    compat = chain.compat_masks()
+    compat = compat_rows_reference(chain)
     for p in chain.ids:
         for q in chain.ids:
             expected = compat[chain.index[p]] & ~compat[chain.index[q]] == 0
@@ -147,7 +149,7 @@ def test_names_are_validated_once_where_they_enter(P, env, monkeypatch):
     first = ctx.forces_set(f, names)
     assert sorted(calls, key=id) == sorted([w, env["gen"]], key=id)
     assert ctx.forces_set(f, names) == first
-    assert ctx._back(ctx.oracle_mask(f, names)) == first
+    assert ctx.spectrum.back(ctx.oracle_mask(f, names)) == first
     assert len(calls) == 2
 
 
@@ -296,7 +298,7 @@ def test_forcing_sets_are_regular_open(small_corpus, corpus_formulas):
             assert tv == A.ro(mask), (Q.name, f)
         # and every subformula under every quantifier binding met on the way,
         # its value taken back to the conditions forcing it
-        assert all(A.is_element(ctx._back(V)) for V in set(ctx._forces.values())), Q.name
+        assert all(A.is_element(ctx.spectrum.back(V)) for V in set(ctx._forces.values())), Q.name
 
 
 def test_context_is_freed_with_its_poset():
@@ -404,7 +406,7 @@ def test_constant_shortcuts_match_the_recursion(small_corpus, cohen12, collapse2
         ref = ForcingReference(Q)
         pool = _reference_corpus(Q)
         values = []
-        for fidx, members in enumerate(ctx.filter_masks):
+        for fidx, members in enumerate(ctx.spectrum.filter_masks):
             memo = {}
             values.append([interpret_reference(n, members, Q.index, memo) for n in pool])
             assert [ctx.interp(n, fidx) for n in pool] == values[-1]
@@ -511,23 +513,23 @@ def test_decides_and_decide_name_value_match_the_condition_sets(small_corpus, co
         for y in env.values():
             for p in Q.ids:
                 out = decide_name_value(Q, p, y)
-                assert [w for w, _ in out] == [w for w in ctx.filter_witnesses if Q.leq(w, p)]
+                assert [w for w, _ in out] == [w for w, _ in Q.minimal_filters() if Q.leq(w, p)]
                 for w, z in out:
                     assert ctx.eq_set(y, check_name(z, Q)) >> Q.index[w] & 1, (Q.name, p, w)
 
 
 def test_constant_values_are_built_once_per_context(P):
     ctx = ForcingContext(P)
-    assert ctx.nf >= 2
+    assert len(P.minimal_filters()) >= 2
     two = check_name(HF2, P)
     assert ctx.interp(two, 0) is ctx.interp(two, 1)
     gen = generic_name(P)
-    for fidx in range(ctx.nf):
+    for fidx in range(len(P.minimal_filters())):
         ctx.interp(gen, fidx)
         assert gen in ctx._interp[fidx]
     assert all(constant_value(n, P) is None for table in ctx._interp for n in table)
     # two constants are decided by value, with no equality recursion
-    assert ctx.mem_set(check_name(HF1, P), two) == ctx.full
+    assert ctx.mem_set(check_name(HF1, P), two) == P.full_mask
     assert ctx.eq_set(check_name(HF1, P), two) == 0
     assert ctx._mem.keys() == {(check_name(HF1, P), two)}
     assert len(ctx._eq) == 2

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from forcinglab import zoo
 from forcinglab.completion import RegularOpenAlgebra
 from forcinglab.forcing import ForcingContext
-from forcinglab.generic import _allinc
 from forcinglab.poset import Poset, RowUnion
 
-# The up and compat kernels of collapse(4,5) take about 1.3 MB with 4-bit
-# chunks; 8-bit chunks would take about 5.5 MB per kernel.
+# The up kernel and the two spectrum kernels (conditions to minimal filters
+# and back) of collapse(4,5) take about 1.6 MB with 4-bit chunks; 8-bit
+# chunks would take about eight times as much per kernel.
 KERNEL_BUDGET_BYTES = 2_500_000
 
 
@@ -82,15 +82,19 @@ def test_set_combinators_match_naive(P, data):
     for i in range(n):
         assert compat[i] == sum(1 << j for j in range(n) if down[i] & down[j])
     A = RegularOpenAlgebra(P)
+    filter_masks = P.spectrum().filter_masks
     for S in condition_sets(data, P):
         assert P.up_kernel().union(S) == naive_union(P._up, S)
-        assert P.compat_kernel().union(S) == naive_union(compat, S)
+        # the minimal filters meeting S
+        met = sum(1 << k for k, members in enumerate(filter_masks) if members & S)
+        assert P.spectrum().filters_of(S) == met
         # the conditions with no extension in S
         avoid = sum(1 << i for i in range(n) if not down[i] & S)
         assert full & ~P.up_kernel().union(S) == avoid
         incompatible = sum(1 << i for i in range(n) if not any(down[i] & down[j] for j in bits(S)))
         assert A.perp(S) == incompatible
-        assert _allinc(P, S) == incompatible
+        regular = sum(1 << i for i in range(n) if not any(down[i] & down[j] for j in bits(incompatible)))
+        assert A.ro(S) == regular
     assert A.ro(full) == full and A.perp(full) == 0
 
 
@@ -98,8 +102,9 @@ def test_set_combinators_match_naive(P, data):
 @given(preorders(), st.data())
 def test_oracle_condition_set_matches_naive(P, data):
     ctx = ForcingContext(P)
-    masks = ctx.filter_masks
-    for M in (0, ctx.filter_full, data.draw(st.integers(0, ctx.filter_full))):
+    masks = ctx.spectrum.filter_masks
+    full = ctx.spectrum.filter_full
+    for M in (0, full, data.draw(st.integers(0, full))):
         # the filter mask a formula evaluates to, fed in directly
         ctx.oracle_mask = lambda f, env, M=M: M
         expected = 0
@@ -114,13 +119,16 @@ def test_one_condition_poset():
     assert P.compat_masks() == [1]
     assert P.full_mask & ~P.up_kernel().union(1) == 0
     assert RegularOpenAlgebra(P).perp(0) == 1
-    assert _allinc(P, 1) == 0
+    assert RegularOpenAlgebra(P).perp(1) == 0
 
 
 def test_kernels_built_on_first_use():
     P = Poset("chain", ["a", "b", "t"], "t", [("a", "b"), ("b", "t")])
-    assert P._up_kernel is None and P._compat_kernel is None
-    ForcingContext(P)
+    assert P._up_kernel is None and P._spectrum is None
+    # the context reads the poset's own spectrum, and builds no kernel
+    ctx = ForcingContext(P)
+    assert ctx.spectrum is P._spectrum is P.spectrum()
+    assert not {"_cond_kernel", "_filter_kernel"} & vars(ctx.spectrum).keys()
     assert P._up_kernel is None
     assert P.up_kernel() is P.up_kernel()
 
@@ -138,5 +146,6 @@ def kernel_bytes(kernel, seen):
 def test_kernel_memory_budget():
     P, _ = zoo.collapse(4, 5)
     seen = set()
-    total = kernel_bytes(P.up_kernel(), seen) + kernel_bytes(P.compat_kernel(), seen)
+    S = P.spectrum()
+    total = sum(kernel_bytes(k, seen) for k in (P.up_kernel(), S._cond_kernel, S._filter_kernel))
     assert total < KERNEL_BUDGET_BYTES, total

@@ -299,7 +299,7 @@ def test_interpret_matches_context_interp(small_corpus):
     for Q in small_corpus:
         ctx = context_for(Q)
         for n in canonical_env(Q).values():
-            for fidx, mask in enumerate(ctx.filter_masks):
+            for fidx, mask in enumerate(ctx.spectrum.filter_masks):
                 assert interpret(n, Filter(Q, frozenset(Q.ids_of(mask)))) == ctx.interp(n, fidx)
 
 

@@ -174,6 +174,38 @@ def test_separative_quotient_identity(cohen11):
     assert all(proj[c] == c for c in P.ids)
 
 
+def test_order_facts_match_the_compat_references(corpus_posets):
+    # the minimal-filter forms against the scans over pairwise compat rows
+    from helpers import compat_rows_reference, is_exhaustive_reference, mask_sample
+
+    for P in corpus_posets:
+        assert P.compat_masks() == list(compat_rows_reference(P)), P.name
+        for u in mask_sample(P):
+            S = P.ids_of(u)
+            assert is_exhaustive(P, S) == is_exhaustive_reference(P, S), (P.name, S)
+
+
+def test_separative_matches_the_compat_references(corpus_posets):
+    from helpers import is_separative_reference, separative_quotient_reference
+
+    for P in corpus_posets:
+        assert is_separative(P) == is_separative_reference(P), P.name
+        Q, proj, was = separative_quotient(P)
+        R, proj_ref, was_ref = separative_quotient_reference(P)
+        assert (Q.ids, Q.top, Q.down_masks(), proj, was) == (R.ids, R.top, R.down_masks(), proj_ref, was_ref), P.name
+
+
+def test_maximal_antichain_matches_the_compat_reference(corpus_posets):
+    from helpers import extend_to_maximal_antichain_reference
+
+    for P in corpus_posets:
+        # the whole poset and its minimal conditions are both dense
+        for D in (P.ids, P.ids_of(P.minimal_mask())):
+            for A in (frozenset(), frozenset([D[-1]])):
+                expected = extend_to_maximal_antichain_reference(P, A, D)
+                assert extend_to_maximal_antichain(P, A, D) == expected, (P.name, A)
+
+
 def test_quotient_is_separative(small_corpus):
     for P in small_corpus:
         Q, _, _ = separative_quotient(P)

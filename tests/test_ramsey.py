@@ -10,7 +10,9 @@ from helpers import (
     accepts_reference,
     gnw_construct_reference,
     gnw_dichotomy_search_reference,
+    gnw_status_bruteforce,
     hl_search_reference,
+    hl_witness_exists_bruteforce,
     rejects_reference,
 )
 
@@ -29,16 +31,12 @@ from forcinglab.ramsey import (
     gnw_accepts,
     gnw_construct,
     gnw_dichotomy_search,
-    gnw_status_bruteforce,
     gnw_verify_horn,
     hl_search,
-    hl_witness_exists_bruteforce,
     is_mn_dense,
     is_strong_subtree,
     mathias_pure_decide,
     mathias_real_name,
-    seq_tree_has_path,
-    seq_tree_rank_certificate,
     strong_subtree_assemble,
 )
 from forcinglab.ramsey import _accepts, _colex, _largest_uniform, _rejects
@@ -651,27 +649,3 @@ def test_mathias_poset_is_not_kept_alive():
     del M
     gc.collect()
     assert ref() is None
-
-
-# -- long paths versus rank certificates --------------------------------------
-
-
-def test_seq_tree_duality():
-    rng = random.Random(13)
-    for _ in range(60):
-        tree = {()}
-        for _ in range(rng.randint(0, 60)):
-            base = rng.choice(sorted(tree, key=len))
-            if len(base) < 6:
-                tree.add(base + (rng.randint(0, 2),))
-        # close under prefixes
-        closed = {t[:i] for t in tree for i in range(len(t) + 1)}
-        for n in range(1, 7):
-            has = seq_tree_has_path(closed, n)
-            cert = seq_tree_rank_certificate(closed, n)
-            assert has == (cert is None)
-            if cert is not None:
-                for s in closed:
-                    for t in closed:
-                        if len(t) > len(s) and t[: len(s)] == s:
-                            assert cert[t] < cert[s] < n

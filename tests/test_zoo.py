@@ -197,6 +197,8 @@ def test_marker_tiling_matches_closure():
 
 
 def test_marker_dense_families(marker3):
+    from helpers import perp_reference
+
     P, _ = marker3
     for cid in ("0:0", "-3:10", "1:1"):
         for i in (1, 2):
@@ -204,6 +206,9 @@ def test_marker_dense_families(marker3):
                 continue
             fam = marker_dense_family(P, cid, i)
             assert is_dense(P, fam.members)
+            # outside the word's down-set: exactly the conditions incompatible with it
+            outside = P.mask_of(fam.members) & ~P.down_mask(cid)
+            assert outside == perp_reference(P, 1 << P.index[cid])
     with pytest.raises(InputError):
         marker_dense_family(P, "3:0", 1)  # offset leaves the window
 
@@ -211,11 +216,13 @@ def test_marker_dense_families(marker3):
 def test_marker_dense_family_without_letout_fails(marker3):
     # the saturating conditions are what the widened family repairs: the raw
     # one-sided pattern alone is not dense in the finite window
+    from helpers import compat_rows_reference
+
     P, _ = marker3
     cid, i = "0:0", 1
     m = 0
     raw = set()
-    compat = P.compat_masks()
+    compat = compat_rows_reference(P)
     pi = P.check_condition(cid)
     for j, qid in enumerate(P.ids):
         dq = marker_decode(qid)
