@@ -37,12 +37,15 @@ the forcing recursion over condition masks as the reference for the rest.
 The two routes are compared set-for-set in the tests.
 
 A constant (check-shaped) name denotes the same HF set under every filter,
-so both routes decide it by value, from one constants table per context:
-the oracle reads its value instead of rebuilding it per filter, and an
-atom on two constant names is forced everywhere or nowhere, by plain
-membership or equality of the values (the check-name lemma, Kunen, *Set
-Theory*, ch. VII).  The tests hold both shortcuts to the plain recursion
-and the per-filter walk kept in ``tests/helpers.py``.
+and a name knows from its interning whether it is constant under a top.
+An atom on two constant names is forced everywhere or nowhere (the
+check-name lemma, Kunen, *Set Theory*, ch. VII: ``1 ⊩ x̌ ∈ y̌`` iff
+``x ∈ y``), and both routes decide it without HF sets: interning makes
+constant names canonical, so ``x̌ ∈ y̌`` holds iff ``(x̌, 1)`` is an entry
+of ``y̌``, and ``x̌ = y̌`` iff they are one object.  The oracle reads a
+check name's value from its record instead of rebuilding it per filter.
+The tests hold both shortcuts to the plain recursion and the per-filter
+walk kept in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from typing import Callable, Iterable, Mapping, Optional
 from .completion import RegularOpenAlgebra
 from .errors import ForcingLabError, InputError
 from .formulas import And, Check, Eq, ExistsIn, ForallIn, Formula, Imp, Mem, Not, Or, Term
-from .names import HF, Name, _constant_value, _interpret, check_name, validate_name
+from .names import HF, Name, _interpret, check_name, is_constant, validate_name
 from .poset import Poset
 
 
@@ -102,9 +105,6 @@ class ForcingContext:
         self._eq: dict[tuple[Name, Name], int] = {}
         self._forces: dict[tuple, int] = {}
         self._oracle: dict[tuple, int] = {}
-        # name -> the HF set it denotes under every filter, or None; a
-        # non-constant name here has its children here too
-        self._constants: dict[Name, Optional[HF]] = {}
         self._interp: list[dict[Name, HF]] = [{} for _ in self.spectrum.filters]
         self._validated: set[Name] = set()
 
@@ -115,7 +115,7 @@ class ForcingContext:
         a name found valid is recorded, and not walked again."""
         if name in self._validated:
             return
-        ok, violation = validate_name(name, self.poset, self._constants)
+        ok, violation = validate_name(name, self.poset)
         if not ok:
             path, cond = violation
             raise InputError(
@@ -123,23 +123,12 @@ class ForcingContext:
             )
         self._validated.add(name)
 
-    def constant(self, name: Name) -> Optional[HF]:
-        """The HF set a constant (check-shaped) name denotes under every
-        filter, else None; one table per context."""
-        try:
-            return self._constants[name]
-        except KeyError:
-            return _constant_value(name, self.poset.top, self._constants)
-
     def interp(self, name: Name, fidx: int) -> HF:
-        """The value of name under minimal filter fidx.  A constant name, or
-        one inside it, is read from the constants table, so its value is
-        built once per context; the per-filter tables hold the rest."""
-        value = self.constant(name)
-        if value is None:
-            members = self.spectrum.filter_masks[fidx]
-            value = _interpret(name, members, self.poset.index, self._interp[fidx], self._constants)
-        return value
+        """The value of name under minimal filter fidx.  A check name constant
+        under the top, or one inside name, is read from its record, so its
+        value is never rebuilt; the per-filter tables hold the rest."""
+        members = self.spectrum.filter_masks[fidx]
+        return _interpret(name, members, self.poset.index, self._interp[fidx], self.poset.top)
 
     # -- atomic values -----------------------------------------------------------
 
@@ -148,10 +137,11 @@ class ForcingContext:
         hit = self._mem.get(key)
         if hit is not None:
             return hit
-        cy = self.constant(y)
-        if cy is not None and (cx := self.constant(x)) is not None:
-            # the check-name lemma: forced everywhere or nowhere, by the values
-            self._mem[key] = self.spectrum.filter_full if cx in cy else 0
+        top = self.poset.top
+        if is_constant(y, top) and is_constant(x, top):
+            # the check-name lemma: forced everywhere or nowhere; constant
+            # names are canonical, so x's value is in y's iff x is an entry
+            self._mem[key] = self.spectrum.filter_full if (x, top) in y.entries else 0
             return self._mem[key]
         index = self.poset.index
         cond_filters = self.spectrum.cond_filters
@@ -171,10 +161,11 @@ class ForcingContext:
         hit = self._eq.get(key)
         if hit is not None:
             return hit
-        cx = self.constant(x)
-        if cx is not None and (cy := self.constant(y)) is not None:
-            self._eq[key] = self._eq[(y, x)] = self.spectrum.filter_full if cx == cy else 0
-            return self._eq[key]
+        top = self.poset.top
+        if is_constant(x, top) and is_constant(y, top):
+            # two constant names with equal values are one object
+            self._eq[key] = self._eq[(y, x)] = 0
+            return 0
         index = self.poset.index
         cond_filters = self.spectrum.cond_filters
         # the name with fewer entries first: an empty mask skips the other
@@ -283,10 +274,10 @@ class ForcingContext:
     # -- semantic oracle -------------------------------------------------------
 
     def _oracle_atom(self, is_mem: bool, x: Name, y: Name) -> int:
-        cx, cy = self.constant(x), self.constant(y)
-        if cx is not None and cy is not None:
+        top = self.poset.top
+        if is_constant(x, top) and is_constant(y, top):
             # the check-name lemma: true under every filter or under none
-            holds = cx in cy if is_mem else cx == cy
+            holds = (x, top) in y.entries if is_mem else x is y
             return self.spectrum.filter_full if holds else 0
         out = 0
         for fidx in range(len(self.spectrum.filters)):

@@ -9,10 +9,10 @@ output so identical inputs always produce identical bytes.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .errors import InputError
-from .names import Name, _constant_value, check_name, generic_name
+from .names import Name, check_name, constant_value, generic_name
 from .poset import ConditionFamily, Poset, make_family
 from .ramsey import ClopenPredicate, FinFamily, LevelColoring
 from .sexpr import IDENT, SAtom, SList, SNode, SSet, print_hf, read_all
@@ -133,43 +133,61 @@ def print_families(families: Mapping[str, ConditionFamily]) -> str:
 
 
 def name_from_sexpr(node: SNode, P: Poset, defined: Mapping[str, Name]) -> Name:
-    if isinstance(node, SAtom):
-        if node.text in defined:
-            return defined[node.text]
-        raise InputError(f"{node.line}:{node.col}: undefined name {node.text!r}")
-    if isinstance(node, SSet):
-        raise InputError(f"{node.line}:{node.col}: wrap HF literals as (check ...)")
-    if not node.items or not isinstance(node.items[0], SAtom):
-        raise InputError(f"{node.line}:{node.col}: empty or headless name form")
-    head = node.items[0].text
-    args = node.items[1:]
-    if head == "check":
-        if len(args) != 1 or not isinstance(args[0], SSet):
-            raise InputError(f"{node.line}:{node.col}: (check ...) takes one HF literal")
-        return check_name(args[0].value, P)
-    if head == "gen":
-        if args:
-            raise InputError(f"{node.line}:{node.col}: (gen) takes no arguments")
-        return generic_name(P)
-    if head == "name":
-        if len(args) != 1 or not isinstance(args[0], SList):
-            raise InputError(f"{node.line}:{node.col}: (name (...)) takes one entry list")
-        entries = []
-        for entry in args[0].items:
-            if (
-                not isinstance(entry, SList)
-                or len(entry.items) != 3
-                or not isinstance(entry.items[0], SAtom)
-                or entry.items[0].text != "pair"
-                or not isinstance(entry.items[2], SAtom)
-            ):
-                raise InputError(f"{args[0].line}:{args[0].col}: entries are (pair <name> <cond>)")
-            child = name_from_sexpr(entry.items[1], P, defined)
-            cond = entry.items[2].text
-            P.check_condition(cond)
-            entries.append((child, cond))
-        return Name(entries)
-    raise InputError(f"{node.line}:{node.col}: unknown name form {head!r}")
+    """The name a form denotes.  The stack holds forms still to read and
+    frames: ("entry", entry, list) checks an entry's shape before its child
+    is read, ("cond", c) pairs the child just built with its condition c,
+    and ("name", k) builds a name from the last k pairs.  Forms are checked
+    outside-in, left to right, as a recursive descent would."""
+    built: list = []
+    todo: list = [node]
+    while todo:
+        item = todo.pop()
+        if type(item) is tuple:  # a frame; nodes are tuple subclasses
+            if item[0] == "entry":
+                _, entry, where = item
+                if (
+                    not isinstance(entry, SList)
+                    or len(entry.items) != 3
+                    or not isinstance(entry.items[0], SAtom)
+                    or entry.items[0].text != "pair"
+                    or not isinstance(entry.items[2], SAtom)
+                ):
+                    raise InputError(f"{where.line}:{where.col}: entries are (pair <name> <cond>)")
+                todo += (("cond", entry.items[2].text), entry.items[1])
+            elif item[0] == "cond":
+                P.check_condition(item[1])
+                built[-1] = (built[-1], item[1])
+            else:
+                k = len(built) - item[1]
+                built[k:] = [Name(built[k:])]
+            continue
+        if isinstance(item, SAtom):
+            if item.text not in defined:
+                raise InputError(f"{item.line}:{item.col}: undefined name {item.text!r}")
+            built.append(defined[item.text])
+            continue
+        if isinstance(item, SSet):
+            raise InputError(f"{item.line}:{item.col}: wrap HF literals as (check ...)")
+        if not item.items or not isinstance(item.items[0], SAtom):
+            raise InputError(f"{item.line}:{item.col}: empty or headless name form")
+        head = item.items[0].text
+        args = item.items[1:]
+        if head == "check":
+            if len(args) != 1 or not isinstance(args[0], SSet):
+                raise InputError(f"{item.line}:{item.col}: (check ...) takes one HF literal")
+            built.append(check_name(args[0].value, P))
+        elif head == "gen":
+            if args:
+                raise InputError(f"{item.line}:{item.col}: (gen) takes no arguments")
+            built.append(generic_name(P))
+        elif head == "name":
+            if len(args) != 1 or not isinstance(args[0], SList):
+                raise InputError(f"{item.line}:{item.col}: (name (...)) takes one entry list")
+            todo.append(("name", len(args[0].items)))
+            todo += [("entry", entry, args[0]) for entry in reversed(args[0].items)]
+        else:
+            raise InputError(f"{item.line}:{item.col}: unknown name form {head!r}")
+    return built[0]
 
 
 def parse_names(text: str, P: Poset) -> dict[str, Name]:
@@ -195,18 +213,25 @@ def parse_names(text: str, P: Poset) -> dict[str, Name]:
 
 def print_name(n: Name, P: Poset) -> str:
     """Canonical form: constant names print as (check ...), the rest entry by
-    entry with entries ordered by (condition, printed child)."""
-    constants: dict[Name, Optional[frozenset]] = {}
-
-    def show(m: Name) -> str:
-        as_hf = _constant_value(m, P.top, constants)
-        if as_hf is not None:
-            return f"(check {print_hf(as_hf)})"
-        printed = sorted((cond, show(child)) for child, cond in m.entries)
-        inner = " ".join(f"(pair {text} {cond})" for cond, text in printed)
-        return f"(name ({inner}))"
-
-    return show(n)
+    entry with entries ordered by (condition, printed child).  The stack
+    holds a frame per name being printed, as a recursion would: the
+    condition of its entry in its parent, its entries left, and its printed
+    (condition, text) pairs; the first frame holds n alone."""
+    stack = [(None, iter([(n, None)]), [])]
+    while True:
+        cond, left, printed = stack[-1]
+        for child, child_cond in left:
+            value = constant_value(child, P)
+            if value is None:
+                stack.append((child_cond, iter(child.entries), []))
+                break
+            printed.append((child_cond, f"(check {print_hf(value)})"))
+        else:
+            stack.pop()
+            if not stack:
+                return printed[0][1]
+            inner = " ".join(f"(pair {text} {c})" for c, text in sorted(printed))
+            stack[-1][2].append((cond, f"(name ({inner}))"))
 
 
 # -- ramsey inputs ---------------------------------------------------------

@@ -10,18 +10,25 @@ Neumann naturals, with identifiers enumerated in lexicographic order; that
 coding is what lets the canonical name for the generic filter interpret back
 to the filter itself.
 
-Derived facts live with what they describe: a check name keeps the set it
-was built from (its ``_CHECK_CACHE`` key), and a poset keeps its forcing
-context.  Three tables remain at module level, none holding a name strongly:
-``_VN`` (the von Neumann naturals, plain HF sets, grown on demand and never
-freed), ``_CHECK_CACHE`` (check names by value and top) and ``_NAMES`` (the
-interned names by entry set, so equal names are one object), both weak in
-the name, so an entry goes when nothing else holds its name.
+Derived facts live with what they describe: a name knows, from the moment
+it is interned, the one condition its entries carry at every depth, if there
+is one, so whether it is constant under a top is one comparison; a check
+name keeps the set it was built from (its ``_CHECK_CACHE`` key); and a poset
+keeps its forcing context.  Interning makes the constant names under one top
+canonical: two with equal values are one object (by induction on rank), so
+their membership and equality are read off the entry sets.
+
+Three tables remain at module level, none holding a name strongly: ``_VN``
+(the von Neumann naturals, plain HF sets, grown on demand and never freed),
+``_CHECK_CACHE`` (check names by value and top) and ``_NAMES`` (the interned
+names by entry set, so equal names are one object), both weak in the name,
+so an entry goes when nothing else holds its name.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from typing import Iterable, Mapping, Optional, Union
 from weakref import WeakValueDictionary
 
@@ -93,14 +100,20 @@ _NAMES: "WeakValueDictionary[frozenset, Name]" = WeakValueDictionary()
 _NAMES_LOCK = threading.Lock()
 
 
+_ANY = object()
+_MIXED = object()
+
+
 class Name:
     """A finite set of (child, condition) pairs, immutable and interned:
     equal entries give one object, so equality and hashing are identity.
 
-    ``_check`` is ``(x, top)`` on the name ``check_name`` built for x under
-    that top, else None."""
+    ``_uniform`` is the one condition every entry carries at any depth:
+    ``_ANY`` for the empty name, ``_MIXED`` when there are two.  ``_check``
+    is ``(x, top)`` on the name ``check_name`` built for x under that top,
+    else None."""
 
-    __slots__ = ("entries", "rank", "_check", "__weakref__")
+    __slots__ = ("entries", "rank", "_uniform", "_check", "__weakref__")
 
     def __new__(cls, entries: Iterable[tuple["Name", str]] = ()):
         es = frozenset(entries)
@@ -113,6 +126,9 @@ class Name:
                 name = object.__new__(cls)
                 object.__setattr__(name, "entries", es)
                 object.__setattr__(name, "rank", 0 if not es else 1 + max(c.rank for c, _ in es))
+                conds = {cond for _, cond in es} | {c._uniform for c, _ in es} - {_ANY}
+                uniform = _ANY if not es else conds.pop() if len(conds) == 1 else _MIXED
+                object.__setattr__(name, "_uniform", uniform)
                 object.__setattr__(name, "_check", None)
                 _NAMES[es] = name
         return name
@@ -144,14 +160,27 @@ def check_name(x: HF, P: Poset) -> Name:
     """The constant name for x: every entry carries the greatest condition.
     It records the set it was built from, which is then its constant value:
     the set itself, not a copy.  ``EMPTY_NAME`` serves every top, so its
-    record may name another poset's top (its value is ``frozenset()``)."""
-    key = (x, P.top)
-    hit = _CHECK_CACHE.get(key)
-    if hit is None:
-        hit = Name((check_name(y, P), P.top) for y in x)
-        object.__setattr__(hit, "_check", key)
-        _CHECK_CACHE[key] = hit
-    return hit
+    record may name another poset's top (its value is ``frozenset()``).
+    Built bottom-up on an explicit stack, so x may have any rank."""
+    top = P.top
+    hit = _CHECK_CACHE.get((x, top))
+    if hit is not None:
+        return hit
+    built: dict[HF, Name] = {}  # holds the new names, which the table holds weakly
+    stack = [x]
+    while x not in built:
+        cur = stack.pop()
+        hit = _CHECK_CACHE.get((cur, top))
+        if hit is None:
+            pending = [y for y in cur if y not in built]
+            if pending:
+                stack += (cur, *pending)
+                continue
+            hit = Name((built[y], top) for y in cur)
+            object.__setattr__(hit, "_check", (cur, top))
+            _CHECK_CACHE[cur, top] = hit
+        built[cur] = hit
+    return built[x]
 
 
 def condition_codes(P: Poset) -> dict[str, HF]:
@@ -184,46 +213,21 @@ def hereditary_names(n: Name) -> frozenset[Name]:
     return frozenset(inside)
 
 
-def _constant_value(n: Name, top: str, memo: dict[Name, Optional[HF]]) -> Optional[HF]:
-    """Fill memo with the constant value (or None) of n and of the names
-    inside it.  A name ``check_name`` built under this top has the set it was
-    built from as its value, and the names inside it are not walked; every
-    other name in memo has all its children there too."""
-    if n in memo:
-        return memo[n]
-    stack = [n]
-    while stack:
-        cur = stack[-1]
-        if cur in memo:
-            stack.pop()
-            continue
-        check = cur._check
-        if check is not None and check[1] == top:
-            memo[cur] = check[0]
-            stack.pop()
-            continue
-        pending = [c for c, _ in cur.entries if c not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        values = [memo[c] for c, cond in cur.entries if cond == top]
-        if len(values) < len(cur.entries) or None in values:
-            memo[cur] = None
-        else:
-            memo[cur] = frozenset(values)
-        stack.pop()
-    return memo[n]
+def is_constant(n: Name, top: str) -> bool:
+    """Does every entry inside n, at any depth, carry top?  Then n names the
+    same set under every filter, and is the check name of that set."""
+    return n._uniform is _ANY or n._uniform == top
 
 
 def constant_value(n: Name, P: Poset) -> Optional[HF]:
     """The HF set n names when every condition hereditarily inside n is the
     greatest one (so n interprets to it under every filter), else None."""
-    return _constant_value(n, P.top, {})
+    if not is_constant(n, P.top):
+        return None
+    return _interpret(n, 1 << P.index[P.top], P.index, {}, P.top)
 
 
-def validate_name(
-    n: Name, P: Poset, constants: Optional[dict[Name, Optional[HF]]] = None
-) -> tuple[bool, Optional[tuple[tuple[str, ...], str]]]:
+def validate_name(n: Name, P: Poset) -> tuple[bool, Optional[tuple[tuple[str, ...], str]]]:
     """Check the nested-condition discipline: inside an entry attached to q,
     deeper entry conditions must extend to q.
 
@@ -233,29 +237,35 @@ def validate_name(
     alone, and the walk does not descend into the child, which holds no
     violation and no unknown condition.  Returns (ok, first violation), the
     violation being the path of entry conditions down to the offender.
-    Unknown condition identifiers raise an input error.  ``constants`` is a
-    table of constant values to read and fill, such as a forcing context's.
+    Unknown condition identifiers raise an input error.
     """
+    index, ids, down, top = P.index, P.ids, P._down, P.top
+    top_i = index[top]
 
     def entries(name: Name):
-        return iter(sorted(name.entries, key=lambda e: (e[1], e[0].rank, id(e[0]))))
+        # in identifier order, which is index order; an unknown condition
+        # sorts between its neighbours (by its text among unknown ones) and
+        # raises when the walk reaches it
+        return iter(sorted([
+            (index[cond] if cond in index else bisect_left(ids, cond) - 0.5, cond, child.rank, id(child), child)
+            for child, cond in name.entries
+        ]))
 
-    ok_memo: set[tuple[Name, Optional[str]]] = set()
-    if constants is None:
-        constants = {}
+    ok_memo: set[tuple[Name, Optional[int]]] = set()
     # depth first on an explicit stack, entries in sorted order; a frame is
-    # (name, bound, path, entries left), and (name, bound) is recorded once
-    # its entries run out
+    # (name, bound index, path, entries left), and (name, bound) is recorded
+    # once its entries run out
     stack = [(n, None, (), entries(n))]
     while stack:
         name, bound, path, left = stack[-1]
-        for child, cond in left:
-            P.check_condition(cond)
-            constant = _constant_value(child, P.top, constants) is not None
-            if bound is not None and not P.leq(cond, bound) and not (cond == P.top and constant):
+        for i, cond, _, _, child in left:
+            if type(i) is float:
+                P.check_condition(cond)
+            constant = is_constant(child, top)
+            if bound is not None and not down[bound] >> i & 1 and not (i == top_i and constant):
                 return False, (path, cond)
-            if not constant and (child, cond) not in ok_memo:
-                stack.append((child, cond, path + (cond,), entries(child)))
+            if not constant and (child, i) not in ok_memo:
+                stack.append((child, i, path + (cond,), entries(child)))
                 break
         else:
             ok_memo.add((name, bound))
@@ -263,17 +273,13 @@ def validate_name(
     return True, None
 
 
-def _interpret(
-    n: Name,
-    members: int,
-    index: Mapping[str, int],
-    memo: dict[Name, HF],
-    shared: Mapping[Name, Optional[HF]],
-) -> HF:
+def _interpret(n: Name, members: int, index: Mapping[str, int], memo: dict[Name, HF], top: str) -> HF:
     """Post-order walk keeping the children whose condition's bit is set in
-    members.  A name with a value in shared (one that holds under every
-    filter) is read from there; memo holds the other values, under this one
-    filter."""
+    members.  A check name constant under top, n or one inside it, holds its
+    value under every filter and is read from its record; memo holds the
+    other values, under this one filter."""
+    if n._check is not None and is_constant(n, top):
+        return n._check[0]
     hit = memo.get(n)
     if hit is not None:
         return hit
@@ -284,11 +290,15 @@ def _interpret(
             stack.pop()
             continue
         live = [c for c, cond in cur.entries if members >> index[cond] & 1]
-        pending = [c for c in live if c not in memo and shared.get(c) is None]
+        # inline is_constant: this loop is the oracle's walk under each filter
+        pending = [
+            c for c in live
+            if c not in memo and (c._check is None or not (c._uniform is _ANY or c._uniform == top))
+        ]
         if pending:
             stack.extend(pending)
         else:
-            memo[cur] = frozenset([memo[c] if c in memo else shared[c] for c in live])
+            memo[cur] = frozenset([memo[c] if c in memo else c._check[0] for c in live])
             stack.pop()
     return memo[n]
 
@@ -296,6 +306,6 @@ def _interpret(
 def interpret(n: Name, G: Filter) -> HF:
     """Evaluate the name under the filter, extensionally."""
     try:
-        return _interpret(n, G.mask(), G.poset.index, {}, {})
+        return _interpret(n, G.mask(), G.poset.index, {}, G.poset.top)
     except KeyError as exc:
         raise InputError(f"unknown condition {exc.args[0]!r} in a name") from None

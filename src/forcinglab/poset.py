@@ -45,7 +45,7 @@ it lives exactly as long as the poset does.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -350,20 +350,25 @@ class Poset:
 
 @dataclass(frozen=True)
 class Filter:
-    """An upward closed, downward directed, nonempty condition set."""
+    """An upward closed, downward directed, nonempty condition set.
+
+    ``_mask`` holds the members as a bitmask, built once by the check."""
 
     poset: Poset
     members: frozenset[str]
+    _mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not is_filter(self.poset, self.members):
+        mask = self.poset.mask_of(self.members)
+        if not _is_principal(self.poset, mask):
             raise InputError("condition set is not a filter")
+        object.__setattr__(self, "_mask", mask)
 
     def __contains__(self, p: str) -> bool:
         return p in self.members
 
     def mask(self) -> int:
-        return self.poset.mask_of(self.members)
+        return self._mask
 
 
 FAMILY_KINDS = ("dense", "exhaustive", "antichain", "unrestricted")
@@ -411,7 +416,11 @@ def is_filter(P: Poset, S: Iterable[str]) -> bool:
     bound is in the set by upward closure.  Conversely the upward closure of
     any condition is a filter.  So S is a filter exactly when some member's
     up-set is S; none of this needs antisymmetry."""
-    mask = P.mask_of(S)
+    return _is_principal(P, P.mask_of(S))
+
+
+def _is_principal(P: Poset, mask: int) -> bool:
+    """Is mask the up-set of one of its members?"""
     up = P._up
     m = mask
     while m:

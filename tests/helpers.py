@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 from forcinglab import Poset
 from forcinglab.errors import InputError, SizeCapError
 from forcinglab.formulas import And, Check, Eq, ExistsIn, ForallIn, Imp, Mem, Not, Or
-from forcinglab.names import Name, check_name, constant_value, generic_name, hereditary_names
+from forcinglab.names import Name, check_name, generic_name, hereditary_names
 from forcinglab.ramsey import (
     ACCEPTS,
     NEITHER,
@@ -398,6 +398,30 @@ def quantifier_bounds_small(f, env, cap: int = 64) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def constant_value_reference(n: Name, P: Poset):
+    """The HF set n names when every condition hereditarily inside n is the
+    greatest one, else None: a post-order walk over the entries alone, which
+    reads no check record."""
+    memo: dict = {}
+    stack = [n]
+    while stack:
+        cur = stack[-1]
+        if cur in memo:
+            stack.pop()
+            continue
+        pending = [c for c, _ in cur.entries if c not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        values = [memo[c] for c, cond in cur.entries if cond == P.top]
+        if len(values) < len(cur.entries) or None in values:
+            memo[cur] = None
+        else:
+            memo[cur] = frozenset(values)
+        stack.pop()
+    return memo[n]
+
+
 def validate_name_reference(n: Name, P: Poset):
     """The nested-condition check walking every subtree, constant ones
     included: (ok, None) or (False, (path, offending condition)), the first
@@ -411,7 +435,7 @@ def validate_name_reference(n: Name, P: Poset):
             P.check_condition(cond)
             here = path + (cond,)
             if bound is not None and not P.leq(cond, bound):
-                if not (cond == P.top and constant_value(child, P) is not None):
+                if not (cond == P.top and constant_value_reference(child, P) is not None):
                     return here
             bad = walk(child, cond, here)
             if bad is not None:
@@ -424,8 +448,8 @@ def validate_name_reference(n: Name, P: Poset):
 
 
 # The per-filter interpretation walk and the forcing recursion over
-# condition masks, with no constants table: every name is interpreted under
-# each filter on its own, and two constant names go through the same
+# condition masks, with no constant-name shortcut: every name is interpreted
+# under each filter on its own, and two constant names go through the same
 # recursion as any others.  ``ForcingContext.interp``, ``mem_set``,
 # ``eq_set``, ``forces_set`` and the atoms of ``oracle_mask`` must agree
 # with these.

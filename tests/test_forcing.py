@@ -544,17 +544,20 @@ def test_check_names_keep_their_value_by_reference():
     ids = [f"c{i}" for i in range(12)]
     Q = Poset("by-reference", ids + [top], top, [(c, top) for c in ids])
     ctx = ForcingContext(Q)
-    ctx.constant(generic_name(Q))
+    gen = generic_name(Q)
     naturals = [von_neumann(i) for i in range(len(Q))]
-    values = [v for v in ctx._constants.values() if v is not None]
+    values = [ctx.interp(child, 0) for child, _ in gen.entries]
     assert len(values) == len(naturals)
     assert {id(v) for v in values} == {id(x) for x in naturals}
     for x in naturals:
-        assert ctx.constant(check_name(x, Q)) is x
+        assert ctx.interp(check_name(x, Q), 0) is x
+    # the walk over gen reads its children's values from their records too
+    for fidx in range(len(ctx.spectrum.filters)):
+        assert {id(v) for v in ctx.interp(gen, fidx)} <= {id(x) for x in naturals}
     # built under another top, its entries carry a non-greatest condition here
     other = Poset("other-top", ["a", "u"], "u", [("a", "u")])
-    assert ForcingContext(other).constant(check_name(HF1, Q)) is None
-    assert ForcingContext(other).constant(check_name(HF0, Q)) == HF0
+    assert constant_value(check_name(HF1, Q), other) is None
+    assert constant_value(check_name(HF0, Q), other) == HF0
 
 
 def test_oracle_smoke(P, env):

@@ -1,8 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from forcinglab import InputError, Name, check_name, generic_name
+from forcinglab import InputError, Name, check_name, generic_name, names
 from forcinglab.formats import (
     name_from_sexpr,
     parse_clopen_file,
@@ -109,6 +112,59 @@ def test_names_file_identifiers_are_checked(cohen11, text, message):
     with pytest.raises(InputError) as exc:
         parse_names(text, cohen11[0])
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(def x missing)", "1:8: undefined name 'missing'"),
+        ("(def x #{})", "1:8: wrap HF literals as (check ...)"),
+        ("(def x ())", "1:8: empty or headless name form"),
+        ("(def x (check #{} #{}))", "1:8: (check ...) takes one HF literal"),
+        ("(def x (gen a))", "1:8: (gen) takes no arguments"),
+        ("(def x (name (a) (b)))", "1:8: (name (...)) takes one entry list"),
+        ("(def x (name ((pair (check #{}) -) (foo))))", "1:14: entries are (pair <name> <cond>)"),
+        ("(def x (frob))", "1:8: unknown name form 'frob'"),
+        ("(def x (name ((pair (name ((pair y -))) -))))", "1:34: undefined name 'y'"),
+        ("(def x (name ((pair (frob) nope))))", "1:21: unknown name form 'frob'"),
+        # a child is read, then its condition checked, then the next entry
+        ("(def x (name ((pair (check #{}) nope) (bad))))", "unknown condition 'nope' in poset 'cohen.1.1'"),
+        ("(def x (name ((bad) (pair (check #{}) nope))))", "1:14: entries are (pair <name> <cond>)"),
+    ],
+)
+def test_names_file_errors_carry_positions(cohen11, text, message):
+    with pytest.raises(InputError) as exc:
+        parse_names(text, cohen11[0])
+    assert str(exc.value) == message
+
+
+_DEEP_NAMES_SCRIPT = """
+import sys
+from forcinglab import zoo
+from forcinglab.formats import parse_names, print_name
+
+limit = sys.getrecursionlimit()
+P, _ = zoo.cohen(1, 1)
+body = "(name ((pair " * 3000 + "(check #{})" + " 0.0.0)))" * 3000
+n = parse_names(f"(def a {body})", P)["a"]
+assert n.rank == 3000
+assert print_name(n, P) == body
+hf = "#{" * 3001 + "}" * 3001
+c = parse_names(f"(def c (check {hf}))", P)["c"]
+assert c.rank == 3000
+assert print_name(c, P) == f"(check {hf})"
+assert P._context is None and sys.getrecursionlimit() == limit
+"""
+
+
+def test_a_deep_name_round_trips_without_a_context():
+    # no forcing context is built, so the default recursion limit holds
+    src = str(Path(names.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEEP_NAMES_SCRIPT], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_gen_in_names_file(cohen11):

@@ -30,6 +30,7 @@ from forcinglab.names import (
     constant_value,
     decode_condition,
     hereditary_names,
+    is_constant,
     von_neumann_value,
 )
 from forcinglab.poset import Poset, is_filter
@@ -181,23 +182,28 @@ def test_validate_violation_reported(P):
 def test_validate_unknown_condition(P):
     with pytest.raises(InputError):
         validate_name(Name([(check_name(HF0, P), "nope")]), P)
+    # two unknown conditions between the same identifiers: the first in text
+    # order is reported, whatever the ranks of their children
+    n = Name([(check_name(HF0, P), "zz-b"), (check_name(HF1, P), "zz-a")])
+    with pytest.raises(InputError, match="'zz-a'"):
+        validate_name(n, P)
 
 
 def test_validation_does_not_walk_constant_subtrees(monkeypatch):
-    # every child of gen is a check name, exempt and not walked: one condition
-    # check per entry (walking every check name makes 36159)
+    # every child of gen is a check name, exempt and not walked: one lookup
+    # of a condition's index per entry (walking every check name makes 36159)
     Q = zoo.mathias(5)
     gen = generic_name(Q)
     assert len(gen.entries) == 111
     calls = 0
-    check_condition = Poset.check_condition
 
-    def counted(self, p):
-        nonlocal calls
-        calls += 1
-        return check_condition(self, p)
+    class CountedIndex(dict):
+        def __contains__(self, p):
+            nonlocal calls
+            calls += 1
+            return super().__contains__(p)
 
-    monkeypatch.setattr(Poset, "check_condition", counted)
+    monkeypatch.setattr(Q, "index", CountedIndex(Q.index))
     assert validate_name(gen, Q) == (True, None)
     assert calls <= 2 * len(gen.entries)
 
@@ -237,12 +243,10 @@ def test_validate_matches_the_full_walk(corpus_posets):
     pool = hf_universe(3)
     seen = set()
     for Q in corpus_posets:
-        shared = {}
         for _ in range(12):
             n = _mixed_name(rng, Q, None, 3, pool)
             expected = _outcome(validate_name_reference, n, Q)
             assert _outcome(validate_name, n, Q) == expected
-            assert _outcome(validate_name, n, Q, shared) == expected
             seen.add(expected[0] if isinstance(expected, tuple) else "error")
     assert seen == {True, False, "error"}
 
@@ -318,6 +322,31 @@ def test_constant_value(P):
     assert constant_value(outer, P) is None
     assert constant_value(Name([(check_name(HF1, P), P.top)]), P) == frozenset([HF1])
     assert not print_name(outer, P).startswith("(check")
+
+
+def test_constant_value_matches_the_reference(corpus_posets):
+    # the slot decided at interning and the value read off it, against the
+    # walk over entries: mixed names and every name inside them, check names
+    # built under another top, the empty name, and a check-shaped name read
+    # from a names file
+    from helpers import constant_value_reference
+
+    rng = random.Random(22)
+    pool = hf_universe(3)
+    other = Poset("second-top", ["a", "u"], "u", [("a", "u")])
+    for Q in corpus_posets:
+        t = Q.top
+        names_file = f"(def c (name ((pair (check #{{}}) {t}) (pair (name ((pair (check #{{}}) {t}))) {t}))))"
+        sample = [EMPTY_NAME, parse_names(names_file, Q)["c"]]
+        sample += [check_name(x, other) for x in pool]
+        for _ in range(6):
+            n = _mixed_name(rng, Q, None, 3, pool)
+            sample += [n, *hereditary_names(n)]
+        for n in sample:
+            expected = constant_value_reference(n, Q)
+            assert constant_value(n, Q) == expected
+            assert is_constant(n, Q.top) == (expected is not None)
+        assert constant_value(sample[1], Q) == frozenset([HF0, HF1])
 
 
 def test_hereditary_names(P):
@@ -405,5 +434,6 @@ def test_the_empty_name_is_constant_under_any_top(P):
     Q = Poset("empty-name-top", ["empty-name-top"], "empty-name-top", [])
     assert check_name(HF0, Q) is EMPTY_NAME
     assert EMPTY_NAME._check == (HF0, "empty-name-top")
-    assert ForcingContext(P).constant(EMPTY_NAME) == HF0
+    assert is_constant(EMPTY_NAME, P.top) and is_constant(EMPTY_NAME, Q.top)
+    assert ForcingContext(P).interp(EMPTY_NAME, 0) == HF0
     assert constant_value(EMPTY_NAME, P) == HF0
