@@ -331,7 +331,12 @@ def decides(P: Poset, p: str, f: Formula, env: Mapping[str, Name]) -> str:
     """Which of p forcing f, p forcing its negation, or neither, holds."""
     ctx = context_for(P)
     V = ctx.value(f, env)
-    e = ctx.spectrum.cond_filters[P.check_condition(p)]
+    return _verdict(ctx.spectrum.cond_filters[P.check_condition(p)], V)
+
+
+def _verdict(e: int, V: int) -> str:
+    """The verdict of a condition through the minimal filters e on a formula
+    of value V: e inside V forces it, e disjoint from V its negation."""
     if not e & ~V:
         return FORCES
     if not e & V:

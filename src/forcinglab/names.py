@@ -13,10 +13,12 @@ to the filter itself.
 Derived facts live with what they describe: a name knows, from the moment
 it is interned, the one condition its entries carry at every depth, if there
 is one, so whether it is constant under a top is one comparison; a check
-name keeps the set it was built from (its ``_CHECK_CACHE`` key); and a poset
-keeps its forcing context.  Interning makes the constant names under one top
-canonical: two with equal values are one object (by induction on rank), so
-their membership and equality are read off the entry sets.
+name keeps the set it was built from (its ``_CHECK_CACHE`` key), and a
+constant name built some other way gets that record when it is first
+interpreted; and a poset keeps its forcing context.  Interning makes the
+constant names under one top canonical: two with equal values are one
+object (by induction on rank), so their membership and equality are read
+off the entry sets.
 
 Three tables remain at module level, none holding a name strongly: ``_VN``
 (the von Neumann naturals, plain HF sets, grown on demand and never freed),
@@ -110,8 +112,9 @@ class Name:
 
     ``_uniform`` is the one condition every entry carries at any depth:
     ``_ANY`` for the empty name, ``_MIXED`` when there are two.  ``_check``
-    is ``(x, top)`` on the name ``check_name`` built for x under that top,
-    else None."""
+    is ``(x, top)`` on the check name of x under that top, once
+    ``check_name`` has built it or ``_interpret`` has read its value, else
+    None."""
 
     __slots__ = ("entries", "rank", "_uniform", "_check", "__weakref__")
 
@@ -275,9 +278,11 @@ def validate_name(n: Name, P: Poset) -> tuple[bool, Optional[tuple[tuple[str, ..
 
 def _interpret(n: Name, members: int, index: Mapping[str, int], memo: dict[Name, HF], top: str) -> HF:
     """Post-order walk keeping the children whose condition's bit is set in
-    members.  A check name constant under top, n or one inside it, holds its
-    value under every filter and is read from its record; memo holds the
-    other values, under this one filter."""
+    members, which holds top.  A check name constant under top, n or one
+    inside it, holds its value under every filter and is read from its
+    record; memo holds the other values, under this one filter.  A constant
+    name without a record is the check name of its value (interning), so
+    once its value is built it gets the record ``check_name`` would give."""
     if n._check is not None and is_constant(n, top):
         return n._check[0]
     hit = memo.get(n)
@@ -286,7 +291,8 @@ def _interpret(n: Name, members: int, index: Mapping[str, int], memo: dict[Name,
     stack = [n]
     while stack:
         cur = stack[-1]
-        if cur in memo:
+        constant = cur._uniform is _ANY or cur._uniform == top
+        if cur in memo or constant and cur._check is not None:
             stack.pop()
             continue
         live = [c for c, cond in cur.entries if members >> index[cond] & 1]
@@ -297,10 +303,15 @@ def _interpret(n: Name, members: int, index: Mapping[str, int], memo: dict[Name,
         ]
         if pending:
             stack.extend(pending)
+            continue
+        value = frozenset([memo[c] if c in memo else c._check[0] for c in live])
+        stack.pop()
+        if constant:
+            object.__setattr__(cur, "_check", (value, top))
+            _CHECK_CACHE[value, top] = cur
         else:
-            memo[cur] = frozenset([memo[c] if c in memo else c._check[0] for c in live])
-            stack.pop()
-    return memo[n]
+            memo[cur] = value
+    return memo[n] if n in memo else n._check[0]
 
 
 def interpret(n: Name, G: Filter) -> HF:

@@ -35,7 +35,12 @@ return (``hl_search``).
 
 Pure decision compiles clopen predicates against one read-only environment
 per Mathias poset and one formula object per accepted prefix, so decisions
-reuse both instead of rebuilding them.
+reuse both instead of rebuilding them.  It works on condition indices: one
+extension table per stem and pool, kept weakly on the poset beside the
+environment, lists each canonical condition the family is read from and
+each pure extension an answer may be, so a decision reads the family by bit
+tests on the forcing mask, takes its verdict from the formula's value, and
+builds no condition id.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from weakref import WeakKeyDictionary
 
 from .errors import ForcingLabError, InputError, SizeCapError
 from .formulas import And, Eq, Formula, Mem, Not, Or
-from .forcing import FORCES, FORCES_NEGATION, UNDECIDED, context_for, decides
+from .forcing import FORCES, UNDECIDED, _verdict, context_for
 from .names import Name, check_name, von_neumann
 from .poset import Poset
 from .zoo import mathias_decode, mathias_id, mathias_pure_extension
@@ -929,6 +934,44 @@ def _clopen_env(M: Poset) -> Mapping[str, Name]:
     return env
 
 
+_EXTENSIONS: "WeakKeyDictionary[Poset, tuple[dict, dict]]" = WeakKeyDictionary()
+
+
+def _extension_table(
+    M: Poset, stem: tuple[int, ...], B: tuple[int, ...]
+) -> tuple[tuple[tuple[frozenset[int], int], ...], dict[frozenset[int], int]]:
+    """The stem's extensions over the pool B, as condition indices of M.
+
+    The rows pair every nonempty xs of B, in ``combinations`` order, with
+    its canonical condition (stem + xs, stem with xs and the part of B past
+    xs); the map takes each H of B to the pure extension (stem, stem with
+    H) where M has it.  Built once per poset, stem and pool and kept weakly
+    on the poset, as the clopen environment is; the poset's subset sets are
+    shared by all its tables.  A table is a function of its key, so two
+    threads building one store equal tables.
+    """
+    store = _EXTENSIONS.get(M)
+    if store is None:
+        store = _EXTENSIONS.setdefault(M, ({}, {}))
+    tables, subsets = store
+    table = tables.get((stem, B))
+    if table is None:
+        base = set(stem)
+        rows = []
+        pure = {}
+        for r in range(len(B) + 1):
+            for xs in itertools.combinations(B, r):
+                sub = subsets.setdefault(xs, frozenset(xs))
+                if xs:
+                    tail = B[B.index(xs[-1]) + 1:]
+                    rows.append((sub, M.check_condition(mathias_id(stem + xs, base | sub | set(tail)))))
+                q = M.index.get(mathias_id(stem, base | sub))
+                if q is not None:
+                    pure[sub] = q
+        table = tables[stem, B] = (tuple(rows), pure)
+    return table
+
+
 def mathias_real_name(M: Poset) -> Name:
     """Name for the union of the stems along the generic filter."""
     return _clopen_env(M)["real"]
@@ -954,7 +997,13 @@ def mathias_pure_decide(M: Poset, p: str, X: ClopenPredicate) -> PureDecision:
     whichever horn comes back gives the deciding envelope.  If the finite
     scale leaves that extension undecided the envelope is shrunk directly,
     down to the stem itself, which always decides.
+
+    Both the family and the deciding condition are read from the extension
+    table of p's stem and pool (``_extension_table``): the family by one bit
+    test of the forcing mask per canonical condition, the verdict on a pure
+    extension from the formula's value, computed once per call.
     """
+    M.check_condition(p)
     stem, envelope = mathias_decode(p)
     if len(envelope) < len(stem) + X.horizon:
         raise SizeCapError(
@@ -962,29 +1011,23 @@ def mathias_pure_decide(M: Poset, p: str, X: ClopenPredicate) -> PureDecision:
         )
     phi, env = clopen_formula(M, X)
     ctx = context_for(M)
-    fmask = ctx.forces_set(phi, env)
+    V = ctx.value(phi, env)
+    fmask = ctx.spectrum.back(V)
+    cond_filters = ctx.spectrum.cond_filters
     floor = stem[-1] if stem else -1
     B = tuple(sorted(x for x in envelope if x > floor))
-
-    def canonical(x_set: tuple[int, ...]) -> str:
-        tail = tuple(b for b in B if b > x_set[-1])
-        return mathias_id(stem + x_set, set(stem) | set(x_set) | set(tail))
-
-    members = set()
-    for r in range(1, len(B) + 1):
-        for xs in itertools.combinations(B, r):
-            cid = canonical(xs)
-            if fmask >> M.check_condition(cid) & 1:
-                members.add(frozenset(xs))
-    family = FinFamily(_mathias_universe(M), frozenset(members))
+    rows, pure = _extension_table(M, stem, B)
+    members = frozenset([xs for xs, i in rows if fmask >> i & 1])
+    family = FinFamily(_mathias_universe(M), members)
 
     def attempt(H: frozenset[int], route: str) -> Optional[PureDecision]:
-        q = mathias_id(stem, set(stem) | H)
-        if q not in M.index:
+        i = pure.get(H)
+        if i is None:
             return None
-        verdict = decides(M, q, phi, env)
+        verdict = _verdict(cond_filters[i], V)
         if verdict == UNDECIDED:
             return None
+        q = M.ids[i]
         if not mathias_pure_extension(q, p):
             return None
         return PureDecision(q, verdict == FORCES, route)

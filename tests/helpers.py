@@ -34,6 +34,7 @@ from forcinglab.ramsey import (
     is_mn_dense,
 )
 from forcinglab.sexpr import IDENT, SAtom, SList, SSet
+from forcinglab.zoo import mathias_decode, mathias_id
 
 # ---------------------------------------------------------------------------
 # labeled posets
@@ -820,6 +821,32 @@ def gnw_status_bruteforce(F: FinFamily, a: Iterable[int], A: Iterable[int], s: i
             if _accepts(F, a_t, B, s):
                 return NEITHER
     return REJECTS
+
+
+def mathias_extension_reference(M: Poset, p: str, fmask: int):
+    """Reference form of the family and the pure extensions that pure
+    decision reads from its extension table, built from condition id
+    strings: the nonempty xs past p's stem whose canonical condition (stem
+    + xs, stem with xs and the envelope past xs) is in fmask, and each H of
+    that pool mapped to the id of (stem, stem with H) where M has it."""
+    stem, envelope = mathias_decode(p)
+    floor = stem[-1] if stem else -1
+    B = tuple(sorted(x for x in envelope if x > floor))
+
+    def canonical(x_set: tuple[int, ...]) -> str:
+        tail = tuple(b for b in B if b > x_set[-1])
+        return mathias_id(stem + x_set, set(stem) | set(x_set) | set(tail))
+
+    members = set()
+    pure = {}
+    for r in range(len(B) + 1):
+        for xs in itertools.combinations(B, r):
+            if xs and fmask >> M.check_condition(canonical(xs)) & 1:
+                members.add(frozenset(xs))
+            q = mathias_id(stem, set(stem) | set(xs))
+            if q in M.index:
+                pure[frozenset(xs)] = q
+    return frozenset(members), pure
 
 
 # ---------------------------------------------------------------------------

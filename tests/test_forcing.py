@@ -33,6 +33,7 @@ from forcinglab import (
 )
 from forcinglab import forcing, zoo
 from forcinglab.forcing import ForcingContext, context_for
+from forcinglab.formats import parse_names
 from forcinglab.formulas import And, Check, Eq, ExistsIn, ForallIn, Imp, Mem, Not, Or
 from forcinglab.names import condition_codes, constant_value, von_neumann
 from forcinglab.poset import Poset
@@ -558,6 +559,25 @@ def test_check_names_keep_their_value_by_reference():
     other = Poset("other-top", ["a", "u"], "u", [("a", "u")])
     assert constant_value(check_name(HF1, Q), other) is None
     assert constant_value(check_name(HF0, Q), other) == HF0
+
+
+def test_a_constant_name_no_check_name_built_is_interpreted_once():
+    # read from a names file, a constant name has no record until it is
+    # first interpreted; then it gets the one check_name would give, so its
+    # value is built once and read by reference under every other filter;
+    # the top is unique, so no check name of that value is alive already
+    top = "built-once-top"
+    Q = Poset("built-once", ["c0", "c1", top], top, [("c0", top), ("c1", top)])
+    a = parse_names(f"(def a (name ((pair (name ((pair (check #{{}}) {top}))) {top}))))", Q)["a"]
+    (inner, _), = a.entries
+    assert a._check is None and inner._check is None
+    ctx = ForcingContext(Q)
+    values = [ctx.interp(a, fidx) for fidx in range(len(ctx.spectrum.filters))]
+    assert len(values) == 2 and values[0] == frozenset([HF1])
+    assert values[1] is values[0]
+    assert a._check == (values[0], top) and next(iter(values[0])) is inner._check[0]
+    assert check_name(values[0], Q) is a
+    assert not any(a in table or inner in table for table in ctx._interp)
 
 
 def test_oracle_smoke(P, env):

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import re
 import sys
 import threading
 import weakref
@@ -13,11 +14,12 @@ from helpers import (
     gnw_status_bruteforce,
     hl_search_reference,
     hl_witness_exists_bruteforce,
+    mathias_extension_reference,
     rejects_reference,
 )
 
 from forcinglab import InputError, zoo
-from forcinglab.forcing import FORCES, FORCES_NEGATION, UNDECIDED, decides
+from forcinglab.forcing import FORCES, FORCES_NEGATION, UNDECIDED, context_for, decides
 from forcinglab.ramsey import (
     ACCEPTS,
     NEITHER,
@@ -39,7 +41,7 @@ from forcinglab.ramsey import (
     mathias_real_name,
     strong_subtree_assemble,
 )
-from forcinglab.ramsey import _accepts, _colex, _largest_uniform, _rejects
+from forcinglab.ramsey import _accepts, _colex, _extension_table, _largest_uniform, _rejects
 from forcinglab.zoo import mathias_decode, mathias_id, mathias_pure_extension
 
 
@@ -627,6 +629,76 @@ def test_pure_decide_fallback_routes(mathias6, p, X, route, condition, forces):
     assert (d.route, d.condition, d.forces_membership) == (route, condition, forces)
     phi, env = clopen_formula(mathias6, X)
     assert decides(mathias6, d.condition, phi, env) == (FORCES if forces else FORCES_NEGATION)
+
+
+@pytest.mark.parametrize("universe", [4, 5, 6])
+def test_extension_table_matches_the_reference(universe):
+    # the table's rows and map, read as ids, are the family and the pure
+    # extensions built from id strings, under the forcing masks of random
+    # clopen predicates and the full mask
+    M = zoo.mathias(universe)
+    ctx = context_for(M)
+    rng = random.Random(f"extension-table/{universe}")
+    masks = [M.full_mask]
+    for _ in range(4):
+        accepted = set()
+        for _ in range(rng.randint(1, 4)):
+            accepted.add(tuple(sorted(rng.sample(range(universe), rng.randint(1, 3)))))
+        phi, env = clopen_formula(M, ClopenPredicate(3, frozenset(accepted)))
+        masks.append(ctx.forces_set(phi, env))
+    subsets = {}
+    for p in M.ids:
+        stem, envelope = mathias_decode(p)
+        floor = stem[-1] if stem else -1
+        rows, pure = _extension_table(M, stem, tuple(sorted(x for x in envelope if x > floor)))
+        assert {H: M.ids[i] for H, i in pure.items()} == mathias_extension_reference(M, p, 0)[1]
+        for fmask in masks:
+            members = frozenset(xs for xs, i in rows if fmask >> i & 1)
+            assert members == mathias_extension_reference(M, p, fmask)[0]
+        # one subset set per content, shared by the rows and every table
+        for H in [xs for xs, _ in rows] + list(pure):
+            assert subsets.setdefault(H, H) is H
+
+
+@pytest.mark.parametrize("p", ["foo", "s:e", "s0:e0.1.2.3.9", "s3:e0.1.2.3.4"])
+def test_pure_decide_rejects_what_is_not_a_condition(p):
+    M = zoo.mathias(5)
+    with pytest.raises(InputError, match=re.escape(repr(p))):
+        mathias_pure_decide(M, p, ClopenPredicate(1, frozenset([(0,)])))
+
+
+def test_pure_decide_shared_across_threads():
+    # the first decisions race to build the extension tables of a fresh
+    # poset; every build gives an equal table, so every thread gets the
+    # decisions of a single-threaded run on another fresh poset
+    rng = random.Random("mathias-threads")
+    M = zoo.mathias(5)
+    eligible = [c for c in M.ids if len(mathias_decode(c)[1]) >= len(mathias_decode(c)[0]) + 2]
+    cases = []
+    for _ in range(24):
+        accepted = frozenset(tuple(sorted(rng.sample(range(5), rng.randint(1, 2)))) for _ in range(rng.randint(1, 3)))
+        cases.append((rng.choice(eligible), ClopenPredicate(2, accepted)))
+    expected = [mathias_pure_decide(M, p, X) for p, X in cases]
+    fresh = zoo.mathias(5)
+    start = threading.Barrier(8)
+    results = [None] * 8
+
+    def work(w):
+        start.wait()
+        results[w] = [mathias_pure_decide(fresh, p, X) for p, X in cases]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == [expected] * 8
 
 
 def test_clopen_environment_shared_and_read_only(mathias6):
