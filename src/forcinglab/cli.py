@@ -12,7 +12,6 @@ import functools
 import sys
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -103,7 +102,7 @@ def _cmd_mk(args) -> int:
     elif args.ctor == "random":
         P = zoo.dyadic_random(args.k)
     elif args.ctor == "amoeba":
-        P = zoo.amoeba(args.k, Fraction(args.eps))
+        P = zoo.amoeba(args.k, args.eps)
     elif args.ctor == "collapse":
         P, families = zoo.collapse(args.x, args.len)
     elif args.ctor == "mathias":
@@ -114,7 +113,7 @@ def _cmd_mk(args) -> int:
     sidecar = formats.print_families(families)
     if sidecar:
         Path(args.out + ".families").write_text(sidecar)
-    print(f"wrote {args.out} ({len(P)} conditions, {len(families)} families)")
+    print(f"wrote {args.out} ({len(P)} conditions, {len(sidecar.splitlines())} families)")
     return OK
 
 

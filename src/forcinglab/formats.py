@@ -62,7 +62,7 @@ def parse_poset(text: str) -> Poset:
         raise InputError("missing 'poset <name>' line")
     if top is None:
         raise InputError("missing 'top <id>' line")
-    return Poset(name, elems, top, pairs, closed=False)
+    return Poset(name, elems, top, pairs)
 
 
 def print_poset(P: Poset) -> str:

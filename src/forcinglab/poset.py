@@ -181,9 +181,9 @@ class Spectrum:
 class Poset:
     """A finite reflexive-transitive order with a greatest element.
 
-    ``pairs`` lists (p, q) with p <= q; they may be cover pairs, the
-    reflexive-transitive closure is computed unless ``closed=True`` promises
-    the input relation is already closed.
+    ``pairs`` lists (p, q) with p <= q.  Any relation will do: the order is
+    its reflexive-transitive closure, so cover pairs suffice and cycles make
+    equivalent conditions.
     """
 
     __slots__ = (
@@ -207,8 +207,6 @@ class Poset:
         ids: Iterable[str],
         top: str,
         pairs: Iterable[tuple[str, str]],
-        *,
-        closed: bool = False,
     ):
         id_tuple = tuple(sorted(set(ids)))
         if not id_tuple:
@@ -228,13 +226,23 @@ class Poset:
             except KeyError as exc:
                 raise InputError(f"order pair ({p!r}, {q!r}) mentions an unknown condition") from exc
             down[qi] |= 1 << pi
-        if not closed:
-            for k in range(n):
-                bit = 1 << k
-                dk = down[k]
-                for i in range(n):
-                    if down[i] & bit:
-                        down[i] |= dk
+        # Close the rows in index order, each by one walk down from i.  A
+        # row below i is final already: OR it in whole and drop its bits
+        # from the walk.  A later row holds only its direct bits, and only
+        # the new ones are visited.
+        for i in range(n):
+            row = down[i]
+            todo = row & ~(1 << i)
+            while todo:
+                low = todo & -todo
+                j = low.bit_length() - 1
+                below = down[j]
+                if j < i:
+                    todo &= ~below
+                else:
+                    todo = (todo ^ low) | (below & ~row)
+                row |= below
+            down[i] = row
         self.name = name
         self.ids = id_tuple
         self.index = index
@@ -307,7 +315,7 @@ class Poset:
     # -- order predicates --------------------------------------------------
 
     def leq(self, p: str, q: str) -> bool:
-        """p <= q under the stored closed relation."""
+        """p <= q in the order."""
         pi = self.check_condition(p)
         return bool(self._down[self.check_condition(q)] >> pi & 1)
 
@@ -521,7 +529,6 @@ def separative_quotient(P: Poset) -> tuple[Poset, dict[str, str], bool]:
         reps.values(),
         projection[P.top],
         pairs,
-        closed=True,
     )
     # the projection always preserves the order; it reflects it exactly
     # when P is separative

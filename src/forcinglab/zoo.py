@@ -2,8 +2,9 @@
 
 Each constructor materializes the full condition set, encodes structured
 conditions as canonical identifier strings (charset ``[A-Za-z0-9_.:+-]``),
-and supplies its order already transitively closed.  Several constructors
-also bundle the named dense families used downstream by genericity requests.
+and supplies the one-step extensions of its order (marker forcing: its
+tilings), which ``Poset`` closes.  Several constructors also bundle the
+named dense families used downstream by genericity requests.
 
 The finite truncations follow the infinite orders exactly; where a classical
 dense family stops being dense because the finite window can saturate (the
@@ -61,11 +62,12 @@ def cohen(i_size: int, depth: int) -> tuple[Poset, dict[str, ConditionFamily]]:
     ids = [cohen_id(c) for c in conditions]
     pairs = []
     for cond, cid in zip(conditions, ids):
-        items = sorted(cond.items())
-        for r in range(len(items) + 1):
-            for sub in itertools.combinations(items, r):
-                pairs.append((cid, cohen_id(dict(sub))))
-    P = Poset(f"cohen.{i_size}.{depth}", ids, "-", pairs, closed=True)
+        # one step up forgets one cell
+        for cell in cond:
+            weaker = dict(cond)
+            del weaker[cell]
+            pairs.append((cid, cohen_id(weaker)))
+    P = Poset(f"cohen.{i_size}.{depth}", ids, "-", pairs)
     families: dict[str, ConditionFamily] = {}
     for i, n in cells:
         members = frozenset(cid for cond, cid in zip(conditions, ids) if (i, n) in cond)
@@ -130,48 +132,43 @@ def dyadic_random(k: int) -> Poset:
     """Nonempty unions of 2^-k atoms of [0,1), ordered by containment."""
     if k < 1:
         raise InputError("dyadic_random needs k >= 1")
-    atoms = 1 << k
-    _check_cap("dyadic poset", (1 << atoms) - 1)
-    ids = {}
-    for mask in range(1, 1 << atoms):
-        ids[mask] = dyadic_id(mask, k)
-    pairs = []
-    for mask in ids:
-        sub = mask
-        while sub:
-            pairs.append((ids[sub], ids[mask]))
-            sub = (sub - 1) & mask
-    return Poset(f"dyadic.{k}", ids.values(), ids[(1 << atoms) - 1], pairs, closed=True)
+    return _dyadic(f"dyadic.{k}", "dyadic poset", k, Fraction(0))
 
 
-def amoeba(k: int, eps: Fraction) -> Poset:
+def amoeba(k: int, eps: Fraction | str) -> Poset:
     """The measure-above-eps part of dyadic_random(k), same containment order.
 
-    Compatibility inside the restriction differs from the ambient poset:
-    conditions meet here only when the intersection itself clears eps.
+    eps is anything ``Fraction`` takes, such as ``"1/4"``.  Compatibility
+    inside the restriction differs from the ambient poset: conditions meet
+    here only when the intersection itself clears eps.
     """
-    eps = Fraction(eps)
+    try:
+        eps = Fraction(eps)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise InputError(f"amoeba needs a fraction eps, got {eps!r}") from exc
     if not 0 < eps < 1:
         raise InputError("amoeba needs eps strictly between 0 and 1")
     if k < 1:
         raise InputError("amoeba needs k >= 1")
+    return _dyadic(f"amoeba.{k}.{eps.numerator}-{eps.denominator}", "amoeba poset", k, eps)
+
+
+def _dyadic(name: str, kind: str, k: int, eps: Fraction) -> Poset:
+    """The unions of 2^-k atoms of measure above eps (under 1), ordered by
+    containment.  One step up adds one atom: that only grows the measure, so
+    every chain of such steps between two of them stays above eps."""
     atoms = 1 << k
-    _check_cap("amoeba poset", (1 << atoms) - 1)
-    keep = {}
+    _check_cap(kind, (1 << atoms) - 1)
+    ids = {}
     for mask in range(1, 1 << atoms):
         if Fraction(bin(mask).count("1"), atoms) > eps:
-            keep[mask] = dyadic_id(mask, k)
-    if not keep:
-        raise InputError(f"amoeba({k}, {eps}) has no conditions")
+            ids[mask] = dyadic_id(mask, k)
     pairs = []
-    for mask in keep:
-        sub = mask
-        while sub:
-            if sub in keep:
-                pairs.append((keep[sub], keep[mask]))
-            sub = (sub - 1) & mask
-    top_mask = (1 << atoms) - 1
-    return Poset(f"amoeba.{k}.{eps.numerator}-{eps.denominator}", keep.values(), keep[top_mask], pairs, closed=True)
+    for mask, cid in ids.items():
+        for a in range(atoms):
+            if not mask >> a & 1:
+                pairs.append((cid, ids[mask | 1 << a]))
+    return Poset(name, ids.values(), ids[(1 << atoms) - 1], pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +196,9 @@ def collapse(x_size: int, length: int) -> tuple[Poset, dict[str, ConditionFamily
     for j in range(length + 1):
         seqs.extend(itertools.product(range(x_size), repeat=j))
     ids = [collapse_id(s) for s in seqs]
-    pairs = []
-    for s, sid in zip(seqs, ids):
-        for j in range(len(s) + 1):
-            pairs.append((sid, collapse_id(s[:j])))
-    P = Poset(f"collapse.{x_size}.{length}", ids, "-", pairs, closed=True)
+    # one step up drops the last term
+    pairs = [(sid, collapse_id(s[:-1])) for s, sid in zip(seqs, ids) if s]
+    P = Poset(f"collapse.{x_size}.{length}", ids, "-", pairs)
     families = {}
     for x in range(x_size):
         members = frozenset(sid for s, sid in zip(seqs, ids) if x in s)
@@ -251,19 +246,18 @@ def mathias(universe_size: int) -> Poset:
         for env in itertools.combinations(universe, r):
             for j in range(r + 1):
                 conditions.append((env[:j], frozenset(env)))
+    ids = [mathias_id(stem, env) for stem, env in conditions]
     pairs = []
-    full = frozenset(universe)
-    for stem, env in conditions:
-        cid = mathias_id(stem, env)
-        for j in range(len(stem) + 1):
-            prefix = stem[:j]
-            floor = prefix[-1] if prefix else -1
-            allowed = sorted(x for x in full - env if x > floor)
-            for r in range(len(allowed) + 1):
-                for extra in itertools.combinations(allowed, r):
-                    pairs.append((cid, mathias_id(prefix, env | set(extra))))
-    top = mathias_id((), full)
-    return Poset(f"mathias.{universe_size}", {mathias_id(s, e) for s, e in conditions}, top, pairs, closed=True)
+    for (stem, env), cid in zip(conditions, ids):
+        # one step up drops the last stem element, or adds one envelope
+        # element past the stem
+        if stem:
+            pairs.append((cid, mathias_id(stem[:-1], env)))
+        floor = stem[-1] if stem else -1
+        for x in range(floor + 1, universe_size):
+            if x not in env:
+                pairs.append((cid, mathias_id(stem, env | {x})))
+    return Poset(f"mathias.{universe_size}", ids, mathias_id((), universe), pairs)
 
 
 def mathias_pure_extension(q: str, p: str) -> bool:
@@ -332,7 +326,7 @@ def marker(L: int) -> tuple[Poset, dict[str, ConditionFamily]]:
                     b == comp[word] for b in blocks
                 ):
                     pairs.append((cid, marker_id(start + k * piece_len, word)))
-    P = Poset(f"marker.{L}", ids, "top", pairs, closed=True)
+    P = Poset(f"marker.{L}", ids, "top", pairs)
     families = {}
     for cid in ids:
         if cid == "top":

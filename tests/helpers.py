@@ -147,8 +147,62 @@ def small_posets_with_top(max_n: int = 5) -> tuple[Poset, ...]:
                 seen.add(code)
                 ids = [f"p{i}" for i in range(n)]
                 pairs = [(f"p{a}", f"p{b}") for (a, b) in leq]
-                out.append(Poset(f"small{n}x{len(seen)}", ids, f"p{tops[0]}", pairs, closed=True))
+                out.append(Poset(f"small{n}x{len(seen)}", ids, f"p{tops[0]}", pairs))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# closure and the zoo orders by definition
+# ---------------------------------------------------------------------------
+
+
+def closure_reference(ids: Iterable[str], pairs: Iterable[tuple[str, str]]) -> list[int]:
+    """The down masks of the reflexive-transitive closure of ``pairs`` over
+    the sorted ids, by Warshall's loop: for each k, every row holding k takes
+    row k in whole."""
+    index = {c: i for i, c in enumerate(sorted(set(ids)))}
+    n = len(index)
+    down = [1 << i for i in range(n)]
+    for p, q in pairs:
+        down[index[q]] |= 1 << index[p]
+    for k in range(n):
+        bit = 1 << k
+        dk = down[k]
+        for i in range(n):
+            if down[i] & bit:
+                down[i] |= dk
+    return down
+
+
+# Each zoo order written as its docstring defines it, q <= p on decoded ids.
+
+
+def cohen_leq_reference(q: str, p: str) -> bool:
+    """q extends p as a partial function: each cell of p, with its value, is
+    a cell of q."""
+    return p == "-" or set(p.split("_")) <= set(q.split("_"))
+
+
+def dyadic_leq_reference(q: str, p: str) -> bool:
+    """The atoms of q are contained in those of p."""
+    return all(b == "1" for a, b in zip(q, p) if a == "1")
+
+
+def collapse_leq_reference(q: str, p: str) -> bool:
+    """q end-extends p."""
+    if p == "-":
+        return True
+    if q == "-":
+        return False
+    qs, ps = q.split("."), p.split(".")
+    return qs[: len(ps)] == ps
+
+
+def mathias_leq_reference(q: str, p: str) -> bool:
+    """a_p is contained in a_q, A_q in A_p, and the new stem elements come
+    out of A_p."""
+    (qs, qe), (ps, pe) = mathias_decode(q), mathias_decode(p)
+    return set(ps) <= set(qs) and qe <= pe and set(qs) - set(ps) <= pe
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +309,7 @@ def separative_quotient_reference(P: Poset) -> tuple[Poset, dict[str, str], bool
     reps = {row: min(members) for row, members in classes.items()}
     projection = {c: reps[row] for row, members in classes.items() for c in members}
     pairs = [(reps[r1], reps[r2]) for r1 in classes for r2 in classes if r1 & ~r2 == 0]
-    quotient = Poset(P.name + ".sep", reps.values(), projection[P.top], pairs, closed=True)
+    quotient = Poset(P.name + ".sep", reps.values(), projection[P.top], pairs)
     was_separative = len(reps) == len(P.ids) and all(
         P.leq(p, q) == quotient.leq(projection[p], projection[q]) for p in P.ids for q in P.ids
     )

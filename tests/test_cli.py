@@ -43,6 +43,32 @@ def test_mk_all_constructors(tmp_path, capsys):
         assert code == 0
 
 
+@pytest.mark.parametrize("eps", ["abc", "1/0"])
+def test_mk_amoeba_rejects_a_bad_eps(tmp_path, capsys, eps):
+    out = tmp_path / "a.poset"
+    assert main(["mk", "amoeba", "--k", "2", "--eps", eps, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: amoeba needs a fraction eps, got {eps!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "spec, written",
+    [
+        # none of the three hit families of collapse(3,3) is dense
+        (("collapse", "--x", "3", "--len", "3"), 0),
+        # the row-disagreement family of cohen(2,1) is not dense
+        (("cohen", "--i", "2", "--depth", "1"), 2),
+    ],
+)
+def test_mk_counts_the_families_it_writes(tmp_path, capsys, spec, written):
+    out = tmp_path / "p.poset"
+    code, text = run(capsys, "mk", *spec, "--out", str(out))
+    assert code == 0
+    assert text.endswith(f", {written} families)\n")
+    sidecar = tmp_path / "p.poset.families"
+    assert (sidecar.read_text().count("\n") if sidecar.exists() else 0) == written
+
+
 def test_poset_check_rejects_missing_top(tmp_path, capsys):
     bad = tmp_path / "bad.poset"
     bad.write_text("poset bad\nelem a\n")

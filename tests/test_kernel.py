@@ -3,6 +3,7 @@ naive per-condition loops they replace."""
 
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from forcinglab import zoo
 from forcinglab.completion import RegularOpenAlgebra
 from forcinglab.forcing import ForcingContext
 from forcinglab.poset import Poset, RowUnion
+from helpers import closure_reference
 
 # The up kernel and the two spectrum kernels (conditions to minimal filters
 # and back) of collapse(4,5) take about 1.6 MB with 4-bit chunks; 8-bit
@@ -35,21 +37,27 @@ def naive_union(rows, S):
 
 
 @st.composite
-def preorders(draw):
-    """A random preorder with a top on 1-40 conditions, cycles allowed."""
+def relations(draw):
+    """(ids, top, pairs): a random relation with a top on 1-40 conditions,
+    cycles allowed."""
     n = draw(st.integers(1, 40))
     ids = [f"c{i:02d}" for i in range(n)]
     pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=3 * n))
     top = draw(st.sampled_from(ids))
-    return Poset("rand", ids, top, pairs + [(c, top) for c in ids])
+    return ids, top, pairs + [(c, top) for c in ids]
+
+
+def preorders():
+    """A random preorder with a top on 1-40 conditions, cycles allowed."""
+    return relations().map(lambda r: Poset("rand", *r))
 
 
 def condition_sets(data, P):
     """0, full, a random set and a down-closed set."""
     full = P.full_mask
     seeds = data.draw(st.integers(0, full))
-    closed = naive_union(P.down_masks(), seeds)
-    return [0, full, data.draw(st.integers(0, full)), closed]
+    down_set = naive_union(P.down_masks(), seeds)
+    return [0, full, data.draw(st.integers(0, full)), down_set]
 
 
 @settings(max_examples=200, deadline=None)
@@ -63,6 +71,27 @@ def test_row_union_matches_naive(rows, S):
     assert kernel.union(0) == 0
     full = (1 << len(rows)) - 1
     assert kernel.union(full) == naive_union(rows, full)
+
+
+@settings(max_examples=300, deadline=None)
+@given(relations())
+def test_closure_matches_warshall(relation):
+    ids, top, pairs = relation
+    assert Poset("rand", ids, top, pairs).down_masks() == closure_reference(ids, pairs)
+
+
+@pytest.mark.parametrize("top_index", [0, 29])
+def test_closure_of_a_chain(top_index):
+    # with the top at index 0 every condition's cover has the next higher
+    # index, so each row's walk runs through rows not yet final; the pairs
+    # are listed from the bottom up either way
+    ids = [f"c{i:02d}" for i in range(30)]
+    chain = ids if top_index == 29 else ids[::-1]
+    pairs = [(chain[k], chain[k + 1]) for k in range(29)]
+    P = Poset("chain", ids, ids[top_index], pairs)
+    assert P.down_masks() == closure_reference(ids, pairs)
+    for k, c in enumerate(chain):
+        assert P.ids_of(P.down_mask(c)) == tuple(sorted(chain[: k + 1]))
 
 
 def test_row_union_reuses_single_row_entries():

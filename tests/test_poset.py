@@ -32,6 +32,15 @@ def test_closure_from_covers(chain3):
     assert not chain3.leq("t", "b")
 
 
+def test_closure_of_a_relation_that_is_not_transitive():
+    # c <= b <= a is given without c <= a, which the closure adds; the one
+    # minimal filter, the up-set of c, then holds a too
+    P = Poset("x", "abct", "t", [("c", "b"), ("b", "a"), ("a", "t"), ("b", "t"), ("c", "t")])
+    assert P.leq("c", "b") and P.leq("b", "a")
+    assert P.leq("c", "a")
+    assert P.minimal_filters() == (("c", P.full_mask),)
+
+
 def test_top_must_be_greatest():
     with pytest.raises(InputError):
         Poset("bad", ["a", "b"], "a", [])

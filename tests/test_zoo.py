@@ -19,6 +19,12 @@ from forcinglab.zoo import (
     mathias_id,
     mathias_pure_extension,
 )
+from helpers import (
+    cohen_leq_reference,
+    collapse_leq_reference,
+    dyadic_leq_reference,
+    mathias_leq_reference,
+)
 
 
 def test_cohen_counts(cohen11, cohen12):
@@ -134,9 +140,28 @@ def test_mathias_order_matches_closure():
         M.ids,
         M.top,
         [(q, p) for q in M.ids for p in M.ids if M.leq(q, p)],
-        closed=False,
     )
     assert all(raw.down_mask(c) == M.down_mask(c) for c in M.ids)
+
+
+@pytest.mark.parametrize(
+    "build, leq_reference",
+    [
+        (lambda: zoo.cohen(2, 2)[0], cohen_leq_reference),
+        (lambda: zoo.dyadic_random(2), dyadic_leq_reference),
+        (lambda: zoo.amoeba(2, Fraction(1, 4)), dyadic_leq_reference),
+        (lambda: zoo.collapse(3, 3)[0], collapse_leq_reference),
+        (lambda: zoo.mathias(5), mathias_leq_reference),
+    ],
+    ids=["cohen.2.2", "dyadic.2", "amoeba.2.1-4", "collapse.3.3", "mathias.5"],
+)
+def test_order_is_the_definition(build, leq_reference):
+    # the constructors pass only one-step extensions: their closure must be
+    # the order each docstring defines, on every pair
+    P = build()
+    for q in P.ids:
+        for p in P.ids:
+            assert P.leq(q, p) == leq_reference(q, p), (q, p)
 
 
 def test_marker_counts(marker3):
@@ -191,7 +216,6 @@ def test_marker_tiling_matches_closure():
         P.ids,
         P.top,
         [(q, p) for q in P.ids for p in P.ids if P.leq(q, p)],
-        closed=False,
     )
     assert all(raw.down_mask(c) == P.down_mask(c) for c in P.ids)
 
